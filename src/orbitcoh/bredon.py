@@ -6,6 +6,18 @@ object.  The differential alternates the face maps: the leading face is
 twisted by the module map of the first morphism, inner faces compose two
 adjacent morphisms, the last face drops the final morphism.
 
+By default the complex is the reduced one: chains run through one family
+member per conjugacy class inside the family (the skeleton chosen by
+orbitcat.OrbitCategory), and the cochains are normalized, i.e. they vanish
+on degenerate chains, those containing an identity morphism.  Such cochains
+are indexed by nondegenerate chains alone, so an inner face whose composite
+is an identity contributes nothing to the differential.  Cohomology is
+unchanged: the skeleton is an equivalent category, and the normalized
+complex is chain-homotopy equivalent to the full one.  The size cap counts
+reduced chains, and cocycle representatives are vectors over the reduced
+generators.  BredonComplex(..., reduced=False) builds the full complex over
+every member and every chain, kept as a reference to check against.
+
 The inhomogeneous bar complex for ordinary group cohomology is implemented
 here as well, as a deliberately separate assembly: it is the independent
 oracle the orbit-category route is checked against (the two coincide for the
@@ -94,19 +106,20 @@ class BredonComplex:
     """Cochain complex of one (family, orbit module) pair.
 
     Chain blocks follow the deterministic lexicographic chain order, so the
-    assembled matrices are bit-stable across runs and thread counts.
+    assembled matrices are bit-stable across runs and thread counts.  The
+    complex is the reduced (skeletal, normalized) one unless reduced=False.
     """
 
     def __init__(self, family: Family, module: OrbitModule,
-                 size_cap: int = DEFAULT_SIZE_CAP, threads: int = 1):
+                 size_cap: int = DEFAULT_SIZE_CAP, threads: int = 1,
+                 reduced: bool = True):
         if module.family.parent is not family.parent:
             raise BadParametersError("module and family disagree on the group")
         self.family = family
         self.module = module
         self.size_cap = size_cap
         self.threads = max(1, threads)
-        self.cat = OrbitCategory(family)
-        nsub = len(self.cat.subgroups)
+        self.cat = OrbitCategory(family, reduced)
         self.value_groups = [module.value(s) for s in self.cat.subgroups]
         self.block_size = [g.ngens for g in self.value_groups]
         # module map matrix per morphism id, plus the full composition table
@@ -151,9 +164,12 @@ class BredonComplex:
             coff = src.offsets[src.index[f0]]
             for (i, j), v in self.morph_mat[first].entries.items():
                 out.append((roff + i, coff + j, v))
-            # inner faces: compose adjacent morphisms
+            # inner faces: compose adjacent morphisms; a composite that
+            # is left out of chains (an identity) gives a degenerate face
             for i in range(1, n1):
                 comp = cat.compose_ids(c[i], c[i + 1])
+                if not cat.in_chains[comp]:
+                    continue
                 fc = c[:i] + (comp,) + c[i + 2:]
                 coff = src.offsets[src.index[fc]]
                 sign = -1 if i % 2 else 1

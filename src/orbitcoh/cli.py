@@ -19,7 +19,8 @@ import sys
 
 from .bredon import (
     DEFAULT_SIZE_CAP,
-    bar_cohomology,
+    BarComplex,
+    BredonComplex,
     bredon_cohomology,
 )
 from .checks import available_suites, run_suites
@@ -182,6 +183,8 @@ def parse_degrees(source: str) -> list[int]:
         raise SchemaError("degrees must look like '2' or '0..3'")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
+    if hi < lo:
+        raise SchemaError(f"degree range {source!r} is empty")
     return list(range(lo, hi + 1))
 
 
@@ -212,12 +215,12 @@ def cmd_cohomology(args) -> int:
     module = load_module(args.module, group)
     degrees = parse_degrees(args.degrees)
     om = fixed_point_functor(module, family)
+    cx = BredonComplex(family, om, size_cap=args.size_cap, threads=args.threads)
     results = []
     checks = []
     failed = False
     for deg in degrees:
-        res = bredon_cohomology(family, om, deg, size_cap=args.size_cap,
-                                threads=args.threads)
+        res = cx.cohomology(deg)
         results.append(res.to_json())
         if args.check:
             if deg == 0:
@@ -252,8 +255,8 @@ def cmd_oracle(args) -> int:
     group = load_group(args.group)
     module = load_module(args.module, group)
     degrees = parse_degrees(args.degrees)
-    results = [bar_cohomology(module, deg, size_cap=args.size_cap).to_json()
-               for deg in degrees]
+    bar = BarComplex(module, size_cap=args.size_cap)
+    results = [bar.cohomology(deg).to_json() for deg in degrees]
     _emit({"command": "oracle", "group": group.name, "results": results},
           args.output)
     return 0
@@ -319,7 +322,11 @@ def cmd_characters(args) -> int:
     group = load_group(args.group)
     family = load_family(args.family, group)
     if args.subgroup:
-        members = [int(x) for x in args.subgroup.split(",")]
+        try:
+            members = [int(x) for x in args.subgroup.split(",")]
+        except ValueError as exc:
+            raise SchemaError(f"--subgroup {args.subgroup!r} is not a "
+                              "comma-separated list of member indices") from exc
         p_sub = group.subgroup(members)
     else:
         p_sub = group.full_subgroup()
@@ -464,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.size_cap < 1:
+        _fail("validation", f"--size-cap must be >= 1, got {args.size_cap}", 2)
     try:
         return args.fn(args)
     except SchemaError as exc:

@@ -214,7 +214,10 @@ class FiniteGroup:
         return Subgroup(self, tuple(sorted(cur)))
 
     def subgroup(self, members) -> Subgroup:
-        s = Subgroup(self, tuple(sorted(set(members))))
+        members = set(members)
+        if any(not 0 <= a < self.order for a in members):
+            raise BadParametersError(f"subgroup member out of range 0..{self.order - 1}")
+        s = Subgroup(self, tuple(sorted(members)))
         s.validate()
         return s
 

@@ -6,6 +6,16 @@ coset so that equal morphisms have equal representatives.  Composable
 sequences of morphisms ("chains") index the standard free resolution, so
 their enumeration order is pinned down exactly: by starting subgroup, then
 by each morphism's (target, coset representative) pair.
+
+OrbitCategory is the one place that decides which chains index cochains.
+By default it is reduced: its objects are a skeleton, one family member per
+conjugacy class inside the family (the first in the family's sorted order
+among the members conjugate to it), since G/H and G/xHx^-1 are isomorphic
+and an equivalent category has the same functor cohomology; and its chains
+are nondegenerate, made of non-identity morphisms only, which is the
+normalized bar construction.  The unreduced category keeps every member
+and every morphism; the module-level chains() and chain_count() enumerate
+its full nerve.
 """
 
 from __future__ import annotations
@@ -89,22 +99,41 @@ def fixed_coset_count(source: Subgroup, target: Subgroup) -> int:
     return count
 
 
+def skeleton(family: Family) -> tuple[Subgroup, ...]:
+    """One member per conjugacy class inside the family: the first in the
+    family's sorted order among the members conjugate to it."""
+    g = family.parent
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for s in family.subgroups:
+        if s.members not in seen:
+            reps.append(s)
+            seen.update(s.conjugate_by(x).members for x in range(g.order))
+    return tuple(reps)
+
+
 class OrbitCategory:
     """Morphism tables for one (group, family) pair.
 
     Morphisms get integer ids; chains used by the cochain machinery are
     tuples (start_index, morphism ids...) in the pinned lexicographic order.
+    With reduced=True (the default) the objects are skeleton(family) and
+    identity morphisms are left out of chains, so chain_count, chain_tuples
+    and the size cap all count nondegenerate chains; identities keep their
+    ids, since a composite of two chain morphisms may be one.
     """
 
-    def __init__(self, family: Family):
+    def __init__(self, family: Family, reduced: bool = True):
         self.family = family
         self.group = family.parent
-        self.subgroups = family.subgroups
+        self.subgroups = skeleton(family) if reduced else family.subgroups
         self.sub_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.morphs: list[OrbitMorphism] = []
         self.out: list[list[int]] = [[] for _ in self.subgroups]
         self.m_src: list[int] = []
         self.m_tgt: list[int] = []
+        # in_chains[mid]: whether morphism mid may occur in a chain
+        self.in_chains: list[bool] = []
         self._morph_id: dict[tuple[int, int, int], int] = {}
         for si, s in enumerate(self.subgroups):
             for ti, t in enumerate(self.subgroups):
@@ -113,10 +142,10 @@ class OrbitCategory:
                     self.morphs.append(m)
                     self.m_src.append(si)
                     self.m_tgt.append(ti)
+                    self.in_chains.append(not (reduced and m.is_identity()))
                     self._morph_id[(si, ti, m.rep)] = mid
-            self.out[si] = sorted(
-                (mid for mid in range(len(self.morphs)) if self.m_src[mid] == si),
-                key=lambda mid: (self.m_tgt[mid], self.morphs[mid].rep))
+                    if self.in_chains[mid]:
+                        self.out[si].append(mid)
         self._comp: dict[tuple[int, int], int] = {}
 
     def morphism_id(self, m: OrbitMorphism) -> int:
@@ -173,12 +202,14 @@ class OrbitCategory:
 
 
 def chains(family: Family, length: int, cap: int = DEFAULT_CHAIN_CAP) -> list[Chain]:
-    """All length-n composable sequences, deterministically ordered."""
+    """All length-n composable sequences over every family member,
+    identities included, deterministically ordered."""
     if length < 0:
         raise ValueError("chain length must be >= 0")
-    cat = OrbitCategory(family)
+    cat = OrbitCategory(family, reduced=False)
     return [cat.chain_object(t) for t in cat.chain_tuples(length, cap)]
 
 
 def chain_count(family: Family, length: int) -> int:
-    return OrbitCategory(family).chain_count(length)
+    """len(chains(family, length)), counted without enumerating."""
+    return OrbitCategory(family, reduced=False).chain_count(length)

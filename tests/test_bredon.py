@@ -94,11 +94,15 @@ def test_bredon_d0_shape_and_kernel_for_c2():
     fam = full_family(g)
     m = GModule.trivial(g, FgAbGroup.free(1))
     om = fixed_point_functor(m, fam)
-    cx = BredonComplex(fam, om)
-    d0 = cx.differential(0)
-    assert d0.matrix.rows == 4 and d0.matrix.cols == 2
     from orbitcoh.intlin import kernel_basis
 
+    # full reference: one row per chain of length 1, identities included
+    d0 = BredonComplex(fam, om, reduced=False).differential(0)
+    assert d0.matrix.rows == 4 and d0.matrix.cols == 2
+    assert kernel_basis(d0.matrix).cols == 1
+    # reduced: the two non-identity morphisms C2/1 -> C2/1 and C2/1 -> C2/C2
+    d0 = BredonComplex(fam, om).differential(0)
+    assert d0.matrix.rows == 2 and d0.matrix.cols == 2
     assert kernel_basis(d0.matrix).cols == 1
 
 

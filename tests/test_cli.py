@@ -217,12 +217,31 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_empty_degree_range_is_vacuous(capsys):
-    code, out, _ = run_cli(capsys, "cohomology", "--group", "c2",
-                           "--family", "full", "--module", "z-trivial",
-                           "--degrees", "3..2")
-    assert code == 0
-    assert json.loads(out)["results"] == []
+def test_reversed_degree_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "--group", "c2",
+                             "--family", "full", "--module", "z-trivial",
+                             "--degrees", "5..2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_size_cap_below_one_exits_2(capsys, cap):
+    code, out, err = run_cli(capsys, "--size-cap", cap,
+                             "cohomology", "--group", "c2",
+                             "--family", "full", "--module", "z-trivial",
+                             "--degrees", "0")
+    assert code == 2 and out == ""
+    assert "--size-cap" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("subgroup", ["a,b", "0,99", "0,-1"])
+def test_characters_bad_subgroup_exits_2(capsys, subgroup):
+    code, out, err = run_cli(capsys, "characters", "--group", "s3",
+                             "--family", "trivial-only",
+                             "--subgroup", subgroup)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
 
 
 def test_check_suite_via_cli(capsys):

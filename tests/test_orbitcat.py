@@ -124,3 +124,20 @@ def test_canonical_representatives_are_coset_minima():
             for m in morphisms(h, k):
                 coset = {g.mul(m.rep, x) for x in k.members}
                 assert m.rep == min(coset)
+
+
+def test_reduced_category_is_skeletal_and_normalized():
+    fam = full_family(builtin_group("s3"))
+    cat = OrbitCategory(fam)
+    # one of the three conjugate subgroups of order 2, the first in order
+    assert [s.members for s in cat.subgroups] == [
+        (0,), (0, 1), (0, 2, 5), (0, 1, 2, 3, 4, 5)]
+    assert all(not cat.morphs[mid].is_identity()
+               for out in cat.out for mid in out)
+    assert all(cat.in_chains[mid] != cat.morphs[mid].is_identity()
+               for mid in range(len(cat.morphs)))
+    g, fam = c2_family()
+    cat = OrbitCategory(fam)
+    assert [cat.chain_count(n) for n in range(4)] == [2, 2, 2, 2]
+    assert cat.chain_tuples(2) == sorted(cat.chain_tuples(2))
+    assert len(cat.chain_tuples(3, cap=2)) == 2

@@ -13,7 +13,6 @@ from .bredon import (
     CohomologyResult,
     bar_cohomology,
     bredon_cohomology,
-    differential,
     restriction_kernel_intersection,
 )
 from .coeff import (
@@ -63,28 +62,27 @@ from .intlin import (
     AbHom,
     FgAbGroup,
     IntMatrix,
-    hom_well_defined,
     kernel_basis,
     smith_normal_form,
     solve_exact,
     subquotient,
 )
-from .orbitcat import Chain, OrbitMorphism, chains, compose, morphisms
+from .orbitcat import OrbitMorphism, compose, morphisms
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbHom", "BarComplex", "BredonComplex", "Chain", "CharacterGroup",
+    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup",
     "CohomologyResult", "FDerivation", "FStructureClass", "FStructureWitness",
     "Family", "FgAbGroup", "FiniteGroup", "GModule", "GroupExtension",
     "IntMatrix", "InvariantSubgroup", "OrbitModule", "OrbitMorphism",
     "Subgroup", "bar_cohomology", "bredon_cohomology", "bredon_hilbert90",
-    "brauer_intersection", "builtin_group", "chains", "character_group",
+    "brauer_intersection", "builtin_group", "character_group",
     "closed_families", "compose", "constant_orbit_module", "cyclic_family",
-    "differential", "enumerate_f_structures", "f_derivation_quotient",
+    "enumerate_f_structures", "f_derivation_quotient",
     "family_close", "fixed_point_free_prime_power_element",
     "fixed_point_functor", "full_family", "groups_up_to_order", "h0_limit",
-    "hom_well_defined", "invariants", "is_homomorphism", "kernel_basis",
+    "invariants", "is_homomorphism", "kernel_basis",
     "morphisms", "odd_vanishing_check", "primary_parts",
     "restrict_module", "restriction_kernel_intersection", "sign_modules",
     "smith_normal_form", "solve_exact", "splittings_mod_conjugacy",

@@ -27,7 +27,6 @@ test, not a shortcut).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -102,31 +101,57 @@ class _Layout:
         self.total = total
 
 
-class BredonComplex:
+class _CochainComplex:
+    """Cohomology of a cochain complex from its differentials.
+
+    Subclasses assemble differential(degree), a map of presented groups
+    C^degree -> C^{degree+1}; the subquotient step is shared.
+    """
+
+    def _differentials_at(self, degree: int) -> tuple[AbHom, AbHom]:
+        """(d^{degree-1}, d^degree), with the zero map into degree 0."""
+        if degree < 0:
+            raise BadParametersError("degree must be >= 0")
+        d_next = self.differential(degree)
+        if degree == 0:
+            return AbHom.zero(FgAbGroup.free(0), d_next.source), d_next
+        return self.differential(degree - 1), d_next
+
+    def cohomology_presentation(self, degree: int) -> SubquotientPresentation:
+        return SubquotientPresentation(*self._differentials_at(degree))
+
+    def cohomology(self, degree: int,
+                   with_representatives: bool = False) -> CohomologyResult:
+        if not with_representatives:
+            group = subquotient(*self._differentials_at(degree))
+            return _result_from_groups(degree, group)
+        pres = self.cohomology_presentation(degree)
+        reps = []
+        for i in range(pres.canonical.ngens):
+            vec = pres.representative(i)
+            reps.append([vec[(r, 0)] for r in range(vec.rows)])
+        return _result_from_groups(degree, pres.canonical, reps)
+
+
+class BredonComplex(_CochainComplex):
     """Cochain complex of one (family, orbit module) pair.
 
     Chain blocks follow the deterministic lexicographic chain order, so the
-    assembled matrices are bit-stable across runs and thread counts.  The
-    complex is the reduced (skeletal, normalized) one unless reduced=False.
+    assembled matrices are bit-stable across runs.  The complex is the
+    reduced (skeletal, normalized) one unless reduced=False.
     """
 
     def __init__(self, family: Family, module: OrbitModule,
-                 size_cap: int = DEFAULT_SIZE_CAP, threads: int = 1,
-                 reduced: bool = True):
+                 size_cap: int = DEFAULT_SIZE_CAP, reduced: bool = True):
         if module.family.parent is not family.parent:
             raise BadParametersError("module and family disagree on the group")
         self.family = family
         self.module = module
         self.size_cap = size_cap
-        self.threads = max(1, threads)
         self.cat = OrbitCategory(family, reduced)
         self.value_groups = [module.value(s) for s in self.cat.subgroups]
         self.block_size = [g.ngens for g in self.value_groups]
-        # module map matrix per morphism id, plus the full composition table
         self.morph_mat = [module.map_matrix(m) for m in self.cat.morphs]
-        for i in range(len(self.cat.morphs)):
-            for j in self.cat.out[self.cat.m_tgt[i]]:
-                self.cat.compose_ids(i, j)
         self._layouts: dict[int, _Layout] = {}
         self._diffs: dict[int, AbHom] = {}
 
@@ -139,22 +164,14 @@ class BredonComplex:
         return got
 
     def cochain_group(self, degree: int) -> FgAbGroup:
-        lay = self.layout(degree)
-        entries = {}
-        col = 0
-        for c in lay.chains:
-            rel = self.value_groups[c[0]].relations
-            off = lay.offsets[lay.index[c]]
-            for (i, j), v in rel.entries.items():
-                entries[(off + i, col + j)] = v
-            col += rel.cols
-        return FgAbGroup(lay.total, IntMatrix(lay.total, col, entries))
+        return direct_sum_groups(self.value_groups[c[0]]
+                                 for c in self.layout(degree).chains)
 
-    def _row_entries(self, src, dst, rows):
-        """Entries of the differential block rows for the given (n+1)-chains."""
+    def _row_entries(self, src, dst):
+        """Entries of the differential, block row by block row of dst."""
         cat = self.cat
         out = []
-        for c in rows:
+        for c in dst.chains:
             roff = dst.offsets[dst.index[c]]
             start = c[0]
             n1 = len(c) - 1          # number of morphisms: degree + 1
@@ -190,18 +207,8 @@ class BredonComplex:
             return got
         src = self.layout(degree)
         dst = self.layout(degree + 1)
-        if self.threads > 1 and len(dst.chains) > 64:
-            nch = len(dst.chains)
-            step = -(-nch // self.threads)
-            batches = [dst.chains[i:i + step] for i in range(0, nch, step)]
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                parts = list(pool.map(
-                    lambda rows: self._row_entries(src, dst, rows), batches))
-            all_entries = [e for part in parts for e in part]
-        else:
-            all_entries = self._row_entries(src, dst, dst.chains)
         entries: dict[tuple[int, int], int] = {}
-        for i, j, v in all_entries:
+        for i, j, v in self._row_entries(src, dst):
             key = (i, j)
             s = entries.get(key, 0) + v
             if s:
@@ -213,50 +220,18 @@ class BredonComplex:
         self._diffs[degree] = hom
         return hom
 
-    def cohomology_presentation(self, degree: int) -> SubquotientPresentation:
-        d_next = self.differential(degree)
-        if degree == 0:
-            d_prev = AbHom.zero(FgAbGroup.free(0), d_next.source)
-        else:
-            d_prev = self.differential(degree - 1)
-        return SubquotientPresentation(d_prev, d_next)
-
-    def cohomology(self, degree: int,
-                   with_representatives: bool = False) -> CohomologyResult:
-        if degree < 0:
-            raise BadParametersError("degree must be >= 0")
-        d_next = self.differential(degree)
-        if degree == 0:
-            d_prev = AbHom.zero(FgAbGroup.free(0), d_next.source)
-        else:
-            d_prev = self.differential(degree - 1)
-        if with_representatives:
-            pres = SubquotientPresentation(d_prev, d_next)
-            group = pres.canonical
-            reps = []
-            for i in range(group.ngens):
-                vec = pres.representative(i)
-                reps.append([vec[(r, 0)] for r in range(d_next.source.ngens)])
-            return _result_from_groups(degree, group, reps)
-        return _result_from_groups(degree, subquotient(d_prev, d_next))
-
-
-def differential(family: Family, module: OrbitModule, degree: int,
-                 size_cap: int = DEFAULT_SIZE_CAP, threads: int = 1) -> AbHom:
-    return BredonComplex(family, module, size_cap, threads).differential(degree)
-
 
 def bredon_cohomology(family: Family, module: OrbitModule, degree: int,
-                      size_cap: int = DEFAULT_SIZE_CAP, threads: int = 1,
+                      size_cap: int = DEFAULT_SIZE_CAP,
                       with_representatives: bool = False) -> CohomologyResult:
-    cx = BredonComplex(family, module, size_cap, threads)
+    cx = BredonComplex(family, module, size_cap)
     return cx.cohomology(degree, with_representatives)
 
 
 # ---------------------------------------------------------------------------
 # Ordinary group cohomology via the inhomogeneous bar complex (the oracle)
 
-class BarComplex:
+class BarComplex(_CochainComplex):
     """Unnormalized bar cochain complex of a finite group module."""
 
     def __init__(self, module: GModule, size_cap: int = DEFAULT_SIZE_CAP):
@@ -320,24 +295,6 @@ class BarComplex:
         self._diffs[degree] = hom
         return hom
 
-    def cohomology_presentation(self, degree: int) -> SubquotientPresentation:
-        d_next = self.differential(degree)
-        if degree == 0:
-            d_prev = AbHom.zero(FgAbGroup.free(0), d_next.source)
-        else:
-            d_prev = self.differential(degree - 1)
-        return SubquotientPresentation(d_prev, d_next)
-
-    def cohomology(self, degree: int) -> CohomologyResult:
-        if degree < 0:
-            raise BadParametersError("degree must be >= 0")
-        d_next = self.differential(degree)
-        if degree == 0:
-            d_prev = AbHom.zero(FgAbGroup.free(0), d_next.source)
-        else:
-            d_prev = self.differential(degree - 1)
-        return _result_from_groups(degree, subquotient(d_prev, d_next))
-
 
 def bar_cohomology(module: GModule, degree: int,
                    size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
@@ -398,9 +355,7 @@ def restriction_kernel_intersection(module: GModule, family: Family,
 
     homs = []
     for sub in family:
-        sgroup, embed = sub.as_group()
-        msub = GModule(sgroup, module.carrier,
-                       [module.actions[e] for e in embed], validate=False)
+        msub, embed = module.restrict_to(sub)
         bar_h = BarComplex(msub, size_cap)
         pres_h = bar_h.cohomology_presentation(degree)
         res = _bar_restriction_matrix(bar_g, bar_h, embed, degree)
@@ -426,9 +381,7 @@ def restriction_kernel_intersection(module: GModule, family: Family,
         closure = family_close(family, under_conjugation=True)
         hypothesis = True
         for sub in closure:
-            sgroup, embed = sub.as_group()
-            msub = GModule(sgroup, module.carrier,
-                           [module.actions[e] for e in embed], validate=False)
+            msub, _ = module.restrict_to(sub)
             if not bar_cohomology(msub, 1, size_cap).is_trivial():
                 hypothesis = False
                 break

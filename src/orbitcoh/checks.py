@@ -128,7 +128,7 @@ def _families_with_trivial(group):
     return out
 
 
-def oracle_suite(threads: int = 1) -> SuiteReport:
+def oracle_suite() -> SuiteReport:
     """Cochain route versus the bar oracle, and restriction-kernel formulas."""
     rec = _Recorder("oracle")
 
@@ -138,7 +138,7 @@ def oracle_suite(threads: int = 1) -> SuiteReport:
             def check(group=group, module=module, label=label):
                 fam = trivial_family(group)
                 om = fixed_point_functor(module, fam)
-                cx = BredonComplex(fam, om, threads=threads)
+                cx = BredonComplex(fam, om)
                 for deg in range(4):
                     ours = cx.cohomology(deg).normal_form()
                     oracle = bar_cohomology(module, deg).normal_form()
@@ -154,8 +154,7 @@ def oracle_suite(threads: int = 1) -> SuiteReport:
                 for fam in (trivial_family(group), full_family(group)):
                     om = fixed_point_functor(module, fam)
                     direct = h0_limit(om).normal_form
-                    routed = bredon_cohomology(fam, om, 0,
-                                               threads=threads).normal_form()
+                    routed = bredon_cohomology(fam, om, 0).normal_form()
                     assert direct == routed, \
                         f"limit {direct} != cochain route {routed}"
             return "degree-0 limit agrees on trivial and full families"
@@ -167,13 +166,13 @@ def oracle_suite(threads: int = 1) -> SuiteReport:
         def check(group=group, module=module):
             for fam in _families_with_trivial(group):
                 om = fixed_point_functor(module, fam)
-                h1 = bredon_cohomology(fam, om, 1, threads=threads)
+                h1 = bredon_cohomology(fam, om, 1)
                 inter1 = restriction_kernel_intersection(module, fam, 1)
                 assert h1.normal_form() == inter1.normal_form(), \
                     f"H1 mismatch at {fam.member_sets()}"
                 inter2 = restriction_kernel_intersection(module, fam, 2)
                 if inter2.h1_hypothesis:
-                    h2 = bredon_cohomology(fam, om, 2, threads=threads)
+                    h2 = bredon_cohomology(fam, om, 2)
                     assert h2.normal_form() == inter2.normal_form(), \
                         f"H2 mismatch at {fam.member_sets()}"
             return "kernel intersections agree on every family"
@@ -181,7 +180,7 @@ def oracle_suite(threads: int = 1) -> SuiteReport:
     return rec.report
 
 
-def characters_suite(threads: int = 1) -> SuiteReport:
+def characters_suite() -> SuiteReport:
     """Second cohomology with constant Z versus the character group."""
     rec = _Recorder("characters")
     for name in SHIPPED_ORDER_8:
@@ -191,7 +190,7 @@ def characters_suite(threads: int = 1) -> SuiteReport:
             fams = closed_families(group)
             for fam in fams:
                 om = fixed_point_functor(module, fam)
-                h2 = bredon_cohomology(fam, om, 2, threads=threads)
+                h2 = bredon_cohomology(fam, om, 2)
                 cg = character_group(group.full_subgroup(), fam)
                 assert h2.normal_form() == cg.group.normal_form, \
                     f"mismatch at {fam.member_sets()}"
@@ -200,7 +199,7 @@ def characters_suite(threads: int = 1) -> SuiteReport:
     return rec.report
 
 
-def structures_suite(threads: int = 1) -> SuiteReport:
+def structures_suite() -> SuiteReport:
     """Structure classes against H^2, splitting classes against H^1."""
     rec = _Recorder("structures")
     for name, mod in STRUCTURE_MATRIX:
@@ -210,7 +209,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
         def check_h2(group=group, module=module):
             for fam in _families_with_trivial(group):
                 om = fixed_point_functor(module, fam)
-                h2 = bredon_cohomology(fam, om, 2, threads=threads)
+                h2 = bredon_cohomology(fam, om, 2)
                 classes = enumerate_f_structures(module, fam)
                 assert len(classes) == h2.order(), \
                     f"class count {len(classes)} != |H2| {h2.order()} at {fam.member_sets()}"
@@ -225,7 +224,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
         def check_h1(group=group, module=module):
             for fam in _families_with_trivial(group):
                 om = fixed_point_functor(module, fam)
-                h1 = bredon_cohomology(fam, om, 1, threads=threads)
+                h1 = bredon_cohomology(fam, om, 1)
                 got = splittings_mod_conjugacy(module, fam)
                 assert got.count == h1.order(), \
                     f"splitting count {got.count} != |H1| {h1.order()} at {fam.member_sets()}"
@@ -239,8 +238,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
                 for fam in _families_with_trivial(group):
                     om = fixed_point_functor(module, fam)
                     lhs = f_derivation_quotient(module, fam).normal_form
-                    rhs = bredon_cohomology(fam, om, 1,
-                                            threads=threads).normal_form()
+                    rhs = bredon_cohomology(fam, om, 1).normal_form()
                     assert lhs == rhs, \
                         f"{label}: derivations {lhs} != cochain {rhs}"
             return "derivation quotients equal degree-1 cohomology"
@@ -248,7 +246,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
     return rec.report
 
 
-def galois_suite(threads: int = 1) -> SuiteReport:
+def galois_suite() -> SuiteReport:
     """Unit-module cohomology on the finite-field grid vanishes as predicted."""
     rec = _Recorder("galois")
     for p in (2, 3):
@@ -266,7 +264,7 @@ def galois_suite(threads: int = 1) -> SuiteReport:
                         h3 = odd_vanishing_check(p, n, d, fam)
                         assert h3.is_trivial(), f"H3 = {h3} at {fam.member_sets()}"
                         om = fixed_point_functor(module, fam)
-                        h0 = bredon_cohomology(fam, om, 0, threads=threads)
+                        h0 = bredon_cohomology(fam, om, 0)
                         pp = primary_parts(h0)
                         assert pp.recombined() == h0.torsion, \
                             "primary parts must recombine"
@@ -296,7 +294,7 @@ def _independent_det(mat: IntMatrix) -> int:
     return int(out)
 
 
-def properties_suite(threads: int = 1, snf_samples: int = 1000,
+def properties_suite(snf_samples: int = 1000,
                      seed: int = 271828) -> SuiteReport:
     """Complex law, morphism counts, functor laws, Smith identities, search."""
     rec = _Recorder("properties")
@@ -307,7 +305,7 @@ def properties_suite(threads: int = 1, snf_samples: int = 1000,
             for fam in (trivial_family(group), full_family(group)):
                 for label, module in _modules_for(group):
                     om = fixed_point_functor(module, fam)
-                    cx = BredonComplex(fam, om, threads=threads)
+                    cx = BredonComplex(fam, om)
                     for deg in range(3):
                         comp = cx.differential(deg + 1).matrix \
                             @ cx.differential(deg).matrix
@@ -391,9 +389,9 @@ def available_suites() -> list[str]:
     return sorted(SUITES) + ["all"]
 
 
-def run_suites(name: str, threads: int = 1) -> list[SuiteReport]:
+def run_suites(name: str) -> list[SuiteReport]:
     if name == "all":
-        return [SUITES[key](threads=threads) for key in sorted(SUITES)]
+        return [SUITES[key]() for key in sorted(SUITES)]
     if name not in SUITES:
         raise KeyError(name)
-    return [SUITES[name](threads=threads)]
+    return [SUITES[name]()]

@@ -3,7 +3,7 @@
 Inputs are JSON documents validated strictly (unknown keys are rejected so a
 typo in a family flag cannot silently change a mathematical claim), or
 builtin shorthands.  Every command emits a single JSON document with sorted
-keys; identical invocations are byte-identical regardless of thread count.
+keys; identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 a requested check failed, 2 invalid input,
 3 an enumeration exceeded the size cap.
@@ -64,9 +64,27 @@ def _fail(kind: str, message: str, code: int):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_lists(value, what: str, depth: int = 1) -> list:
+    """A JSON list of integers, or for depth > 1 a list of such lists."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    if depth == 1:
+        return [_int(v, f"{what} entry") for v in value]
+    return [_int_lists(v, what, depth - 1) for v in value]
 
 
 def _check_keys(doc: dict, allowed: set[str], what: str):
@@ -81,8 +99,8 @@ def load_group(source: str) -> FiniteGroup:
         doc = _load_json(source)
         if "table" in doc:
             _check_keys(doc, {"order", "table"}, "group file")
-            table = doc["table"]
-            if "order" in doc and doc["order"] != len(table):
+            table = _int_lists(doc["table"], "group table", 2)
+            if "order" in doc and _int(doc["order"], "order") != len(table):
                 raise SchemaError("declared order differs from the table size")
             try:
                 return FiniteGroup(table, name=os.path.basename(source))
@@ -90,8 +108,10 @@ def load_group(source: str) -> FiniteGroup:
                 raise SchemaError(f"invalid group table: {exc}") from exc
         if "generators" in doc:
             _check_keys(doc, {"degree", "generators"}, "group file")
-            gens = [tuple(p) for p in doc["generators"]]
-            if "degree" in doc and any(len(p) != doc["degree"] for p in gens):
+            gens = [tuple(p) for p in
+                    _int_lists(doc["generators"], "permutations", 2)]
+            if "degree" in doc and any(len(p) != _int(doc["degree"], "degree")
+                                       for p in gens):
                 raise SchemaError("permutation length differs from declared degree")
             try:
                 return FiniteGroup.from_permutations(gens,
@@ -123,7 +143,7 @@ def load_family(source: str, group: FiniteGroup) -> Family:
     if "subgroups" not in doc:
         raise SchemaError("family file needs 'subgroups'")
     subs = []
-    for members in doc["subgroups"]:
+    for members in _int_lists(doc["subgroups"], "subgroups", 2):
         try:
             subs.append(group.subgroup(members))
         except BadParametersError as exc:
@@ -141,8 +161,8 @@ def load_module(source: str, group: FiniteGroup) -> GModule:
     if os.path.exists(source):
         doc = _load_json(source)
         _check_keys(doc, {"rank", "torsion", "action"}, "module file")
-        rank = int(doc.get("rank", 0))
-        torsion = [int(d) for d in doc.get("torsion", [])]
+        rank = _int(doc.get("rank", 0), "rank")
+        torsion = _int_lists(doc.get("torsion", []), "torsion")
         if rank < 0 or any(d < 2 for d in torsion):
             raise SchemaError("rank must be >= 0 and torsion entries >= 2")
         try:
@@ -152,12 +172,15 @@ def load_module(source: str, group: FiniteGroup) -> GModule:
         action = doc.get("action")
         if action is None:
             return GModule.trivial(group, carrier)
+        if not isinstance(action, dict):
+            raise SchemaError("module action must be a JSON object")
         _check_keys(action, {"generators", "matrices"}, "module action")
+        gens = _int_lists(action.get("generators"), "action generators")
+        mats = _int_lists(action.get("matrices"), "action matrices", 3)
         try:
             return GModule.from_generator_action(
-                group, carrier, action["generators"],
-                [IntMatrix.from_rows(m) for m in action["matrices"]])
-        except (BadParametersError, ValueError, KeyError) as exc:
+                group, carrier, gens, [IntMatrix.from_rows(m) for m in mats])
+        except (BadParametersError, ValueError) as exc:
             raise SchemaError(f"invalid module action: {exc}") from exc
     match = _MODULE_NAME.match(source)
     if match:
@@ -191,8 +214,11 @@ def parse_degrees(source: str) -> list[int]:
 def _emit(doc: dict, output: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -215,7 +241,7 @@ def cmd_cohomology(args) -> int:
     module = load_module(args.module, group)
     degrees = parse_degrees(args.degrees)
     om = fixed_point_functor(module, family)
-    cx = BredonComplex(family, om, size_cap=args.size_cap, threads=args.threads)
+    cx = BredonComplex(family, om, size_cap=args.size_cap)
     results = []
     checks = []
     failed = False
@@ -284,8 +310,7 @@ def cmd_structures(args) -> int:
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
-        h2 = bredon_cohomology(family, om, 2, size_cap=args.size_cap,
-                               threads=args.threads)
+        h2 = bredon_cohomology(family, om, 2, size_cap=args.size_cap)
         doc["h2_order"] = h2.order()
         failed = h2.order() != len(classes)
         doc["check_passed"] = not failed
@@ -307,8 +332,7 @@ def cmd_derivations(args) -> int:
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
-        h1 = bredon_cohomology(family, om, 1, size_cap=args.size_cap,
-                               threads=args.threads)
+        h1 = bredon_cohomology(family, om, 1, size_cap=args.size_cap)
         doc["h1"] = h1.to_json()
         failed = h1.normal_form() != quotient.normal_form
         if "splitting_classes" in doc and h1.order() is not None:
@@ -372,7 +396,7 @@ def cmd_family_close(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        reports = run_suites(args.suite, threads=args.threads)
+        reports = run_suites(args.suite)
     except KeyError:
         _fail("validation", f"unknown suite {args.suite!r}; "
               f"choose from {available_suites()}", 2)
@@ -392,7 +416,7 @@ def _add_common(parser, suppress: bool):
                         **(kw or {"default": DEFAULT_SIZE_CAP}),
                         help="abort enumerations beyond this many items")
     parser.add_argument("--threads", type=int, **(kw or {"default": 1}),
-                        help="worker threads for matrix assembly")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--output", **(kw or {"default": None}),
                         help="write the JSON document here instead of stdout")
 

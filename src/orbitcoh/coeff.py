@@ -81,6 +81,9 @@ class GModule:
                     for m in matrices]
         if len(generators) != len(matrices):
             raise BadParametersError("generators and matrices must pair up")
+        if any(not 0 <= s < group.order for s in generators):
+            raise BadParametersError(
+                f"generators must be elements 0..{group.order - 1}")
         n = carrier.ngens
         acts: dict[int, IntMatrix] = {0: IntMatrix.identity(n)}
         frontier = [0]
@@ -290,6 +293,8 @@ def restrict_module(module: OrbitModule, sub: Subgroup) -> OrbitModule:
 
     if module.source_gmodule is not None:
         src = module.source_gmodule
+        # not GModule.restrict_to: the module must live on the same
+        # as_group() object as sub_family (fixed_point_functor checks it)
         restricted = GModule(sgroup, src.carrier,
                              [src.actions[e] for e in embed], validate=False)
         return fixed_point_functor(restricted, sub_family)

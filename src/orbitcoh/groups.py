@@ -268,10 +268,6 @@ class Subgroup:
     def __contains__(self, a: int) -> bool:
         return a in set(self.members)
 
-    def contains_set(self, elems) -> bool:
-        mem = set(self.members)
-        return all(e in mem for e in elems)
-
     def sort_key(self):
         return (len(self.members), self.members)
 

@@ -72,17 +72,10 @@ def h0_limit(module: OrbitModule) -> FgAbGroup:
                         entries[key] = cur
                     elif key in entries:
                         del entries[key]
-                slack_blocks.append((rows, module.value(s).relations))
+                slack_blocks.append(module.value(s).relations)
                 rows += gens_s
     constraint = IntMatrix(rows, total, entries)
-    slack_entries = {}
-    col = 0
-    for roff, rel in slack_blocks:
-        for (i, j), v in rel.entries.items():
-            slack_entries[(roff + i, col + j)] = v
-        col += rel.cols
-    slack = IntMatrix(rows, col, slack_entries)
-    lattice = preimage_generators(constraint, slack)
+    lattice = preimage_generators(constraint, block_diag(slack_blocks))
     rels = block_diag([module.value(s).relations for s in subs])
     group = quotient_presentation(lattice, rels)
     return FgAbGroup.from_invariants(*group.normal_form)
@@ -125,7 +118,7 @@ def f_derivation_quotient(module: GModule, family: Family) -> FgAbGroup:
             put(rows, xy * k, ident)
             put(rows, y * k, module.act(x), sign=-1)
             put(rows, x * k, ident, sign=-1)
-            slack_blocks.append((rows, module.carrier.relations))
+            slack_blocks.append(module.carrier.relations)
             rows += k
     # principality on each member: D(h) = (act(h) - 1) m_H
     for hi, sub in enumerate(subs):
@@ -133,18 +126,11 @@ def f_derivation_quotient(module: GModule, family: Family) -> FgAbGroup:
         for h in sub.members:
             put(rows, h * k, ident)
             put(rows, mcol, module.act(h) - ident, sign=-1)
-            slack_blocks.append((rows, module.carrier.relations))
+            slack_blocks.append(module.carrier.relations)
             rows += k
 
     constraint = IntMatrix(rows, unknowns, entries)
-    slack_entries = {}
-    col = 0
-    for roff, rel in slack_blocks:
-        for (i, j), v in rel.entries.items():
-            slack_entries[(roff + i, col + j)] = v
-        col += rel.cols
-    slack = IntMatrix(rows, col, slack_entries)
-    lattice = preimage_generators(constraint, slack)
+    lattice = preimage_generators(constraint, block_diag(slack_blocks))
     dpart = IntMatrix(n * k, lattice.cols,
                       {(i, j): v for (i, j), v in lattice.entries.items()
                        if i < n * k})
@@ -201,13 +187,6 @@ class FiniteModule:
         for x, d in zip(vec, self.moduli):
             out = out * d + x
         return out
-
-    def from_index(self, idx: int):
-        out = []
-        for d in reversed(self.moduli):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ class IntMatrix:
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols)
-
-    @classmethod
     def diagonal(cls, values, rows=None, cols=None) -> IntMatrix:
         values = list(values)
         n = len(values)
@@ -118,12 +114,6 @@ class IntMatrix:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c: int) -> IntMatrix:
-        if c == 0:
-            return IntMatrix(self.rows, self.cols)
-        return IntMatrix(self.rows, self.cols,
-                         {k: c * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -564,6 +554,8 @@ def preimage_generators(a: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
 
     Columns of the result generate (not necessarily freely) the preimage.
     """
+    if a.cols == 0:
+        return IntMatrix(0, 0)
     if target_relations.cols == 0:
         return kernel_basis(a)
     stacked = a.hstack(target_relations)
@@ -751,10 +743,6 @@ class AbHom:
         return f"AbHom({self.source!r} -> {self.target!r})"
 
 
-def hom_well_defined(f: AbHom) -> bool:
-    return f.well_defined()
-
-
 def direct_sum_groups(groups) -> FgAbGroup:
     groups = list(groups)
     ngens = sum(g.ngens for g in groups)
@@ -784,19 +772,7 @@ def quotient_presentation(generators: IntMatrix, subgens: IntMatrix) -> FgAbGrou
     Requires the sub lattice to sit inside the generated lattice; the
     relations are the full preimage {w : generators*w in <subgens>}.
     """
-    if generators.cols == 0:
-        return FgAbGroup(0)
-    stacked = generators.hstack(subgens)
-    red = ColumnReduction(stacked.columns_as_dicts(), stacked.cols)
-    entries = {}
-    k = 0
-    for vec in red.kernel_vectors():
-        head = {i: v for i, v in vec.items() if i < generators.cols}
-        if head:
-            for i, v in head.items():
-                entries[(i, k)] = v
-            k += 1
-    return FgAbGroup(generators.cols, IntMatrix(generators.cols, k, entries))
+    return FgAbGroup(generators.cols, preimage_generators(generators, subgens))
 
 
 class SubquotientPresentation:

@@ -13,9 +13,9 @@ conjugacy class inside the family (the first in the family's sorted order
 among the members conjugate to it), since G/H and G/xHx^-1 are isomorphic
 and an equivalent category has the same functor cohomology; and its chains
 are nondegenerate, made of non-identity morphisms only, which is the
-normalized bar construction.  The unreduced category keeps every member
-and every morphism; the module-level chains() and chain_count() enumerate
-its full nerve.
+normalized bar construction.  The unreduced category,
+OrbitCategory(family, reduced=False), keeps every member and every
+morphism, so its chains are the full nerve.
 """
 
 from __future__ import annotations
@@ -36,22 +36,6 @@ class OrbitMorphism:
 
     def is_identity(self) -> bool:
         return self.source.members == self.target.members and self.rep == 0
-
-
-@dataclass(frozen=True)
-class Chain:
-    """(id_{H0}, f1, ..., fn) with consecutive morphisms composable."""
-
-    start: Subgroup
-    maps: tuple[OrbitMorphism, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.maps)
-
-    @property
-    def end(self) -> Subgroup:
-        return self.maps[-1].target if self.maps else self.start
 
 
 def canonical_rep(group: FiniteGroup, x: int, target: Subgroup) -> int:
@@ -195,21 +179,3 @@ class OrbitCategory:
 
             walk(si, length)
         return out
-
-    def chain_object(self, tup: tuple) -> Chain:
-        start = self.subgroups[tup[0]]
-        return Chain(start, tuple(self.morphs[mid] for mid in tup[1:]))
-
-
-def chains(family: Family, length: int, cap: int = DEFAULT_CHAIN_CAP) -> list[Chain]:
-    """All length-n composable sequences over every family member,
-    identities included, deterministically ordered."""
-    if length < 0:
-        raise ValueError("chain length must be >= 0")
-    cat = OrbitCategory(family, reduced=False)
-    return [cat.chain_object(t) for t in cat.chain_tuples(length, cap)]
-
-
-def chain_count(family: Family, length: int) -> int:
-    """len(chains(family, length)), counted without enumerating."""
-    return OrbitCategory(family, reduced=False).chain_count(length)

@@ -136,16 +136,6 @@ def test_d_after_d_is_zero_across_matrix():
                         assert lattice_contains(target.relations, comp)
 
 
-def test_threaded_assembly_is_bit_identical():
-    g = builtin_group("s3")
-    fam = full_family(g)
-    om = fixed_point_functor(GModule.trivial(g, FgAbGroup.free(1)), fam)
-    seq = BredonComplex(fam, om, threads=1)
-    par = BredonComplex(fam, om, threads=4)
-    for n in range(2):
-        assert seq.differential(n).matrix == par.differential(n).matrix
-
-
 def test_size_cap_raises():
     g = builtin_group("c2xc2")
     fam = full_family(g)

@@ -261,3 +261,35 @@ def test_cyclic_family_shorthand(capsys):
     doc = json.loads(out)
     # the five proper subgroups of Q8 are cyclic; Q8 itself is not
     assert len(doc["family"]) == 5
+
+
+@pytest.mark.parametrize("flag, doc", [
+    ("--module", {"rank": "a"}),
+    ("--module", {"rank": None}),
+    ("--module", {"torsion": "ab"}),
+    ("--module", {"rank": 1,
+                  "action": {"generators": [5], "matrices": [[[1]]]}}),
+    ("--family", {"subgroups": [1]}),
+    ("--family", {"subgroups": None}),
+    ("--group", {"table": "x"}),
+    ("--group", {"generators": [1]}),
+])
+def test_malformed_input_file_exits_2(capsys, tmp_path, flag, doc):
+    args = {"--group": "c2", "--family": "full", "--module": "z-trivial"}
+    args[flag] = write_json(tmp_path, "bad.json", doc)
+    argv = ["cohomology", "--degrees", "0"]
+    for key, value in args.items():
+        argv += [key, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+def test_output_into_missing_directory_exits_2(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(capsys, "--output", str(missing), "oracle",
+                             "--group", "c2", "--module", "z-trivial",
+                             "--degrees", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+    assert not missing.exists()

@@ -9,7 +9,6 @@ from orbitcoh.intlin import (
     FgAbGroup,
     IntMatrix,
     block_diag,
-    hom_well_defined,
     invariant_factors,
     kernel_basis,
     kernel_of_hom,
@@ -166,11 +165,11 @@ def test_presentation_independence():
 def test_hom_well_defined_examples():
     z2 = FgAbGroup(1, mat([[2]]))
     z4 = FgAbGroup(1, mat([[4]]))
-    assert hom_well_defined(AbHom.identity(z2))
+    assert AbHom.identity(z2).well_defined()
     double = AbHom(z2, z4, mat([[2]]))
-    assert hom_well_defined(double)
+    assert double.well_defined()
     bad = AbHom(z2, z4, mat([[1]]))
-    assert not hom_well_defined(bad)
+    assert not bad.well_defined()
 
 
 def test_subquotient_trivial_cases():

@@ -4,8 +4,6 @@ from orbitcoh.errors import NotComposableError, SizeLimitError
 from orbitcoh.groups import Family, FiniteGroup, builtin_group, full_family
 from orbitcoh.orbitcat import (
     OrbitCategory,
-    chain_count,
-    chains,
     compose,
     fixed_coset_count,
     identity_morphism,
@@ -83,21 +81,24 @@ def test_compose_rejects_mismatch():
 
 def test_chain_counts_c2():
     g, fam = c2_family()
-    assert chain_count(fam, 0) == 2           # one chain per subgroup
-    assert chain_count(fam, 1) == 4
+    full = OrbitCategory(fam, reduced=False)
+    assert full.chain_count(0) == 2           # one chain per subgroup
+    assert full.chain_count(1) == 4
     # independently enumerated: 4 + 2 + 1 + 1 composable pairs
-    assert chain_count(fam, 2) == 8
+    assert full.chain_count(2) == 8
 
 
 def test_chain_recurrence():
     for name in ("c4", "s3"):
         fam = full_family(builtin_group(name))
+        full = OrbitCategory(fam, reduced=False)
         for n in (1, 2, 3):
             total = 0
-            for c in chains(fam, n - 1):
+            for c in full.chain_tuples(n - 1):
+                end = full.m_tgt[c[-1]] if len(c) > 1 else c[0]
                 for k in fam:
-                    total += len(morphisms(c.end, k))
-            assert total == chain_count(fam, n)
+                    total += len(morphisms(full.subgroups[end], k))
+            assert total == full.chain_count(n)
 
 
 def test_chain_order_is_lexicographic():
@@ -105,15 +106,17 @@ def test_chain_order_is_lexicographic():
     cat = OrbitCategory(fam)
     tuples = cat.chain_tuples(2)
     assert tuples == sorted(tuples)
-    objs = chains(fam, 1)
-    assert [(c.start.members, c.maps[0].target.members, c.maps[0].rep) for c in objs] == [
+    full = OrbitCategory(fam, reduced=False)
+    objs = [(full.subgroups[s], full.morphs[m])
+            for s, m in full.chain_tuples(1)]
+    assert [(s.members, m.target.members, m.rep) for s, m in objs] == [
         ((0,), (0,), 0), ((0,), (0,), 1), ((0,), (0, 1), 0), ((0, 1), (0, 1), 0)]
 
 
 def test_chain_cap():
     fam = full_family(builtin_group("c2xc2"))
     with pytest.raises(SizeLimitError):
-        chains(fam, 3, cap=10)
+        OrbitCategory(fam, reduced=False).chain_tuples(3, cap=10)
 
 
 def test_canonical_representatives_are_coset_minima():

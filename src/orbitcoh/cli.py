@@ -78,6 +78,12 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _int_lists(value, what: str, depth: int = 1) -> list:
     """A JSON list of integers, or for depth > 1 a list of such lists."""
     if not isinstance(value, list):
@@ -149,9 +155,9 @@ def load_family(source: str, group: FiniteGroup) -> Family:
         except BadParametersError as exc:
             raise SchemaError(f"invalid subgroup {members}: {exc}") from exc
     fam = Family(group, subs)
-    return family_close(fam,
-                        under_conjugation=bool(doc.get("close_conjugation")),
-                        under_subgroups=bool(doc.get("close_subgroups")))
+    conj = _bool(doc.get("close_conjugation", False), "close_conjugation")
+    down = _bool(doc.get("close_subgroups", False), "close_subgroups")
+    return family_close(fam, under_conjugation=conj, under_subgroups=down)
 
 
 _MODULE_NAME = re.compile(r"^z(\d*)-trivial$")

@@ -10,6 +10,8 @@ fed small matrices (residuals, presentations, random test inputs).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+from math import gcd
 
 from .errors import ChainMismatchError, CompositionNonzeroError
 
@@ -435,6 +437,8 @@ class ColumnReduction:
     the unique nonzero entry among pivots at its pivot row, and zeros at all
     earlier pivot rows), and every non-retired column has been reduced to
     zero.  That gives the kernel lattice, the rank, and forced back-solves.
+    Rows are processed in ascending order; an index from each row to the
+    active columns meeting it yields each row's candidates without a scan.
     """
 
     __slots__ = ("ncols", "work", "v", "pivots", "free")
@@ -445,31 +449,44 @@ class ColumnReduction:
         self.v = [{j: 1} for j in range(len(columns))]
         self.pivots: list[tuple[int, int]] = []   # (row, col) in retirement order
         active = set(range(len(columns)))
-        rows_present = sorted({r for c in self.work for r in c})
-        for r in rows_present:
-            cand = sorted((j for j in active if r in self.work[j]),
+        # at[r]: the active columns with a nonzero entry in row r, for every
+        # row not yet processed (processed rows are zero in active columns)
+        at: dict[int, set[int]] = {}
+        for j, c in enumerate(self.work):
+            for r in c:
+                at.setdefault(r, set()).add(j)
+        for r in sorted(at):
+            cand = sorted(at[r],
                           key=lambda j: (abs(self.work[j][r]), len(self.work[j]), j))
-            if not cand:
-                continue
-            p = cand[0]
-            for j in cand[1:]:
-                self._eliminate(p, j, r)
-            self.pivots.append((r, p))
-            active.discard(p)
+            if cand:
+                p = cand[0]
+                for j in cand[1:]:
+                    self._eliminate(p, j, r, at)
+                for rr in self.work[p]:
+                    at[rr].discard(p)
+                self.pivots.append((r, p))
+                active.discard(p)
+            del at[r]
         self.free = sorted(active)
 
-    def _eliminate(self, p, j, r):
+    def _eliminate(self, p, j, r, at):
         work, v = self.work, self.v
         while work[j].get(r):
             q = _centered_quotient(work[j][r], work[p][r])
             if q:
                 wj, wp = work[j], work[p]
                 for rr, vv in wp.items():
-                    nv = wj.get(rr, 0) - q * vv
-                    if nv:
-                        wj[rr] = nv
-                    elif rr in wj:
-                        del wj[rr]
+                    old = wj.get(rr)
+                    if old is None:
+                        wj[rr] = -q * vv
+                        at[rr].add(j)
+                    else:
+                        nv = old - q * vv
+                        if nv:
+                            wj[rr] = nv
+                        else:
+                            del wj[rr]
+                            at[rr].discard(j)
                 vj, vp = v[j], v[p]
                 for rr, vv in vp.items():
                     nv = vj.get(rr, 0) - q * vv
@@ -480,6 +497,13 @@ class ColumnReduction:
             if work[j].get(r):
                 work[p], work[j] = work[j], work[p]
                 v[p], v[j] = v[j], v[p]
+                for rr in work[p].keys() ^ work[j].keys():
+                    if rr in work[p]:
+                        at[rr].discard(j)
+                        at[rr].add(p)
+                    else:
+                        at[rr].discard(p)
+                        at[rr].add(j)
 
     @property
     def rank(self) -> int:
@@ -783,14 +807,21 @@ class SubquotientPresentation:
     and middle relations.
     """
 
-    __slots__ = ("basis", "group", "nf_map")
+    __slots__ = ("basis", "group", "_nf_map")
 
     def __init__(self, d_in: AbHom, d_out: AbHom):
         middle = d_out.source
         self.basis = preimage_generators(d_out.matrix, d_out.target.relations)
         sub = d_in.matrix.hstack(middle.relations)
         self.group = quotient_presentation(self.basis, sub)
-        self.nf_map = NormalFormMap(self.group)
+        self._nf_map = None
+
+    @property
+    def nf_map(self) -> NormalFormMap:
+        """The tracked normal form of group, built when first read."""
+        if self._nf_map is None:
+            self._nf_map = NormalFormMap(self.group)
+        return self._nf_map
 
     @property
     def canonical(self) -> FgAbGroup:
@@ -819,30 +850,103 @@ class SubquotientPresentation:
         return self.basis @ (self.nf_map.from_nf @ e)
 
 
-def _composition_zero(d_in: AbHom, d_out: AbHom) -> bool:
-    comp = d_out.matrix @ d_in.matrix
-    if comp.is_zero():
-        return True
-    return lattice_contains(d_out.target.relations, comp)
+def _uniform_modulus(groups) -> int | None:
+    """m >= 0 when each group's relation lattice is m*I (no relations: m = 0).
+
+    None when the groups differ or a lattice is not of that form.  A group
+    without generators fits every m.
+    """
+    found = set()
+    for g in groups:
+        rel = g.relations
+        if g.ngens == 0:
+            continue
+        if rel.cols == 0:
+            found.add(0)
+            continue
+        if rel.cols != g.ngens or len(rel.entries) != g.ngens:
+            return None
+        for (i, j), v in rel.entries.items():
+            if i != j:
+                return None
+            found.add(abs(v))
+    if len(found) > 1:
+        return None
+    return found.pop() if found else 0
+
+
+def _torsion_chain(orders: list[int]) -> list[int]:
+    """Invariant factors (each >= 2, ascending) of the sum of Z/a, a in orders.
+
+    Each order is split over a coprime base of the orders (a set of pairwise
+    coprime numbers each order is a product of), so nothing is factored
+    into primes.  Per base element b the exponents are sorted, and the k-th
+    largest invariant factor is the product of each b to its k-th largest
+    exponent.
+    """
+    counts = Counter(a for a in orders if a > 1)
+    base = set(counts)
+    while True:
+        pair = next(((x, y) for x in base for y in base
+                     if x < y and gcd(x, y) > 1), None)
+        if pair is None:
+            break
+        x, y = pair
+        g = gcd(x, y)
+        base -= {x, y}
+        base |= {z for z in (x // g, y // g, g) if z > 1}
+    exponents = []
+    for b in base:
+        per_b = []
+        for a, k in counts.items():
+            e = 0
+            while a % b == 0:
+                a //= b
+                e += 1
+            per_b += [e] * k
+        exponents.append((b, sorted(per_b, reverse=True)))
+    chain = []
+    for k in range(counts.total()):
+        d = 1
+        for b, per_b in exponents:
+            d *= b ** per_b[k]
+        if d == 1:
+            break
+        chain.append(d)
+    return chain[::-1]
 
 
 def subquotient(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
-    """Homology at the middle of d_in, d_out, in canonical normal form."""
+    """Homology at the middle of d_in, d_out, in canonical normal form.
+
+    Invariant-factor route: when the middle and target relation lattices are
+    m*I for one m >= 0 and d_out @ d_in vanishes over Z, the complex is a
+    complex of free groups reduced mod m.  Splitting it over Z into pieces
+    Z and Z --e--> Z, the universal coefficient theorem gives, with e_i and
+    f_j the invariant factors of d_in and d_out and c the middle rank,
+    (Z/m)^(c - r_in - r_out) + sum Z/gcd(e_i, m) + sum Z/gcd(f_j, m); the
+    last sum is Tor(Z/f_j, Z/m), which vanishes for m = 0.  Every other
+    complex (other relations, or a composite that vanishes only modulo the
+    relations) takes the presentation route, SubquotientPresentation.
+    """
     if not d_in.target.same_presentation(d_out.source):
         raise ChainMismatchError("subquotient: d_in.target differs from d_out.source")
-    if not _composition_zero(d_in, d_out):
-        raise CompositionNonzeroError("d_out . d_in is not zero")
     middle = d_out.source
-    if middle.relations.cols == 0 and d_out.target.relations.cols == 0:
-        # free positions: rank and torsion fall out of the two Smith forms
-        fin = invariant_factors(d_in.matrix)
-        fout = invariant_factors(d_out.matrix)
-        rank = middle.ngens - len(fout) - len(fin)
-        torsion = sorted(f for f in fin if f > 1)
+    comp = d_out.matrix @ d_in.matrix
+    exact = comp.is_zero()
+    if not exact and not lattice_contains(d_out.target.relations, comp):
+        raise CompositionNonzeroError("d_out . d_in is not zero")
+    m = _uniform_modulus((middle, d_out.target)) if exact else None
+    if m is None:
+        rank, torsion = SubquotientPresentation(d_in, d_out).group.normal_form
         return FgAbGroup.from_invariants(rank, torsion)
-    pres = SubquotientPresentation(d_in, d_out)
-    rank, torsion = pres.group.normal_form
-    return FgAbGroup.from_invariants(rank, torsion)
+    fin = invariant_factors(d_in.matrix)
+    fout = invariant_factors(d_out.matrix)
+    copies = middle.ngens - len(fin) - len(fout)
+    if m == 0:
+        return FgAbGroup.from_invariants(copies, [e for e in fin if e > 1])
+    orders = [gcd(e, m) for e in fin] + [gcd(f, m) for f in fout] + [m] * copies
+    return FgAbGroup.from_invariants(0, _torsion_chain(orders))
 
 
 def kernel_of_hom(f: AbHom) -> tuple[FgAbGroup, IntMatrix]:

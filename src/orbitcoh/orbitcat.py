@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotComposableError, SizeLimitError
+from .errors import BadParametersError, NotComposableError, SizeLimitError
 from .groups import Family, FiniteGroup, Subgroup
 
 DEFAULT_CHAIN_CAP = 200_000
@@ -146,6 +146,8 @@ class OrbitCategory:
         return got
 
     def chain_count(self, length: int) -> int:
+        if length < 0:
+            raise BadParametersError("chain length must be >= 0")
         counts = [1] * len(self.subgroups)
         for _ in range(length):
             nxt = [0] * len(self.subgroups)

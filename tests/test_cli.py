@@ -273,6 +273,11 @@ def test_cyclic_family_shorthand(capsys):
     ("--family", {"subgroups": None}),
     ("--group", {"table": "x"}),
     ("--group", {"generators": [1]}),
+    ("--family", {"subgroups": [[0]], "close_conjugation": "no"}),
+    ("--family", {"subgroups": [[0]], "close_conjugation": "false"}),
+    ("--family", {"subgroups": [[0]], "close_subgroups": 1}),
+    ("--family", {"subgroups": [[0]], "close_subgroups": 0.5}),
+    ("--family", {"subgroups": [[0]], "close_conjugation": None}),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, doc):
     args = {"--group": "c2", "--family": "full", "--module": "z-trivial"}

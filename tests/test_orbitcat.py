@@ -1,6 +1,6 @@
 import pytest
 
-from orbitcoh.errors import NotComposableError, SizeLimitError
+from orbitcoh.errors import BadParametersError, NotComposableError, SizeLimitError
 from orbitcoh.groups import Family, FiniteGroup, builtin_group, full_family
 from orbitcoh.orbitcat import (
     OrbitCategory,
@@ -117,6 +117,15 @@ def test_chain_cap():
     fam = full_family(builtin_group("c2xc2"))
     with pytest.raises(SizeLimitError):
         OrbitCategory(fam, reduced=False).chain_tuples(3, cap=10)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_negative_chain_length_is_rejected(reduced):
+    cat = OrbitCategory(full_family(builtin_group("c2")), reduced=reduced)
+    with pytest.raises(BadParametersError):
+        cat.chain_count(-1)
+    with pytest.raises(BadParametersError):
+        cat.chain_tuples(-1)
 
 
 def test_canonical_representatives_are_coset_minima():

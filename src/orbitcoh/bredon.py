@@ -39,6 +39,7 @@ from .intlin import (
     IntMatrix,
     SubquotientPresentation,
     direct_sum_groups,
+    invariant_factors,
     kernel_of_hom,
     solve_exact,
     stack_homs,
@@ -105,8 +106,27 @@ class _CochainComplex:
     """Cohomology of a cochain complex from its differentials.
 
     Subclasses assemble differential(degree), a map of presented groups
-    C^degree -> C^{degree+1}; the subquotient step is shared.
+    C^degree -> C^{degree+1}, and cache it in _diffs; the subquotient step
+    is shared.
+
+    The composite d^n @ d^{n-1} is formed once per degree and serves the
+    exact d.d check and subquotient's choice of route.  On the
+    invariant-factor route each differential is eliminated once per
+    complex: _eliminated keeps, per degree, the invariant factors of d^n and
+    its unit pivots (a map from row to column).  Clearing: when
+    d^n @ d^{n-1} vanishes over Z and d^{n-1} is already eliminated, the
+    columns of d^n at d^{n-1}'s unit-pivot rows T are left out of its
+    elimination.  That elimination is by row operations only, so the pivot
+    minor d^{n-1}[T, R] (R the pivot columns) is square with determinant
+    +-1.  Hence the matrix [d^{n-1}[:, R] | e_t for t not in T] is
+    unimodular, d^n maps its first block to zero, and d^n and d^n[:, not T]
+    have the same invariant factors.
     """
+
+    def __init__(self):
+        self._diffs: dict[int, AbHom] = {}
+        self._comps: dict[int, IntMatrix] = {}
+        self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def _differentials_at(self, degree: int) -> tuple[AbHom, AbHom]:
         """(d^{degree-1}, d^degree), with the zero map into degree 0."""
@@ -117,13 +137,39 @@ class _CochainComplex:
             return AbHom.zero(FgAbGroup.free(0), d_next.source), d_next
         return self.differential(degree - 1), d_next
 
+    def _composite(self, degree: int) -> IntMatrix:
+        """d^degree @ d^{degree-1}, formed once per degree."""
+        got = self._comps.get(degree)
+        if got is None:
+            d_in, d_out = self._differentials_at(degree)
+            got = self._comps[degree] = d_out.matrix @ d_in.matrix
+        return got
+
+    def _factors(self, degree: int) -> list[int]:
+        """Invariant factors of d^degree, cleared by d^{degree-1} when it can."""
+        if degree < 0:
+            return []
+        got = self._eliminated.get(degree)
+        if got is None:
+            below = self._eliminated.get(degree - 1)
+            cleared = {}
+            if below is not None and self._composite(degree).is_zero():
+                cleared = below[1]
+            got = invariant_factors(self.differential(degree).matrix, cleared,
+                                    with_pivots=True)
+            self._eliminated[degree] = got
+        return got[0]
+
     def cohomology_presentation(self, degree: int) -> SubquotientPresentation:
         return SubquotientPresentation(*self._differentials_at(degree))
 
     def cohomology(self, degree: int,
                    with_representatives: bool = False) -> CohomologyResult:
         if not with_representatives:
-            group = subquotient(*self._differentials_at(degree))
+            # d^{degree-1} is eliminated first, so d^degree can be cleared
+            group = subquotient(
+                *self._differentials_at(degree), self._composite(degree),
+                lambda: (self._factors(degree - 1), self._factors(degree)))
             return _result_from_groups(degree, group)
         pres = self.cohomology_presentation(degree)
         reps = []
@@ -153,7 +199,7 @@ class BredonComplex(_CochainComplex):
         self.block_size = [g.ngens for g in self.value_groups]
         self.morph_mat = [module.map_matrix(m) for m in self.cat.morphs]
         self._layouts: dict[int, _Layout] = {}
-        self._diffs: dict[int, AbHom] = {}
+        super().__init__()
 
     def layout(self, degree: int) -> _Layout:
         got = self._layouts.get(degree)
@@ -240,7 +286,7 @@ class BarComplex(_CochainComplex):
         self.size_cap = size_cap
         self.gens = self.module.carrier.ngens
         self._layout_cache: dict[int, list[tuple]] = {}
-        self._diffs: dict[int, AbHom] = {}
+        super().__init__()
 
     def tuples(self, degree: int) -> list[tuple]:
         got = self._layout_cache.get(degree)

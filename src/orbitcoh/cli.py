@@ -503,6 +503,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.size_cap < 1:
         _fail("validation", f"--size-cap must be >= 1, got {args.size_cap}", 2)
+    if args.threads < 1:
+        _fail("validation", f"--threads must be >= 1, got {args.threads}", 2)
     try:
         return args.fn(args)
     except SchemaError as exc:

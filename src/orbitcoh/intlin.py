@@ -360,18 +360,26 @@ def smith_normal_form(a: IntMatrix):
     return sf.u, sf.d, sf.v
 
 
-def invariant_factors(a: IntMatrix) -> list[int]:
+def invariant_factors(a: IntMatrix, cleared=frozenset(),
+                      with_pivots: bool = False):
     """Nonzero diagonal of the Smith form (so len == rank), sparse-friendly.
 
-    Unimodular pivots are eliminated first on sparse structures; only the
-    (typically tiny) residual without unit entries reaches the dense routine.
+    Unimodular pivots are eliminated first on sparse structures, by row
+    operations only; the (typically tiny) residual without unit entries
+    reaches the dense routine.  Columns in cleared are left out of the
+    elimination: that is exact when they are the unit-pivot rows, as found
+    here, of a matrix b with a @ b == 0 (see bredon._CochainComplex).  With
+    with_pivots the result is (factors, pivots), pivots mapping each
+    unit-pivot row to its column.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), v in a.entries.items():
+        if j in cleared:
+            continue
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-    ones = 0
+    pivots: dict[int, int] = {}
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     parked: set[int] = set()
@@ -410,9 +418,9 @@ def invariant_factors(a: IntMatrix) -> list[int]:
             if not cols[cc]:
                 del cols[cc]
         del rows[r]
-        ones += 1
+        pivots[r] = c
     # dense residual
-    factors = [1] * ones
+    factors = [1] * len(pivots)
     live = sorted(r for r in parked if r in rows and rows[r])
     if live:
         col_ids = sorted({c for r in live for c in rows[r]})
@@ -424,7 +432,7 @@ def invariant_factors(a: IntMatrix) -> list[int]:
         diag, *_ = _snf_dense(dense, track=False)
         factors.extend(diag)
     # 1s divide everything, residual chain is already consistent
-    return factors
+    return (factors, pivots) if with_pivots else factors
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +924,8 @@ def _torsion_chain(orders: list[int]) -> list[int]:
     return chain[::-1]
 
 
-def subquotient(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
+def subquotient(d_in: AbHom, d_out: AbHom, comp: IntMatrix | None = None,
+                factors=None) -> FgAbGroup:
     """Homology at the middle of d_in, d_out, in canonical normal form.
 
     Invariant-factor route: when the middle and target relation lattices are
@@ -928,11 +937,16 @@ def subquotient(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     last sum is Tor(Z/f_j, Z/m), which vanishes for m = 0.  Every other
     complex (other relations, or a composite that vanishes only modulo the
     relations) takes the presentation route, SubquotientPresentation.
+
+    comp is d_out.matrix @ d_in.matrix when the caller has formed it.
+    factors, when given, is called on the invariant-factor route only and
+    returns the invariant factors of d_in and d_out.
     """
     if not d_in.target.same_presentation(d_out.source):
         raise ChainMismatchError("subquotient: d_in.target differs from d_out.source")
     middle = d_out.source
-    comp = d_out.matrix @ d_in.matrix
+    if comp is None:
+        comp = d_out.matrix @ d_in.matrix
     exact = comp.is_zero()
     if not exact and not lattice_contains(d_out.target.relations, comp):
         raise CompositionNonzeroError("d_out . d_in is not zero")
@@ -940,8 +954,10 @@ def subquotient(d_in: AbHom, d_out: AbHom) -> FgAbGroup:
     if m is None:
         rank, torsion = SubquotientPresentation(d_in, d_out).group.normal_form
         return FgAbGroup.from_invariants(rank, torsion)
-    fin = invariant_factors(d_in.matrix)
-    fout = invariant_factors(d_out.matrix)
+    if factors is None:
+        fin, fout = invariant_factors(d_in.matrix), invariant_factors(d_out.matrix)
+    else:
+        fin, fout = factors()
     copies = middle.ngens - len(fin) - len(fout)
     if m == 0:
         return FgAbGroup.from_invariants(copies, [e for e in fin if e > 1])

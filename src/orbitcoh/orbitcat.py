@@ -163,21 +163,23 @@ class OrbitCategory:
         total = self.chain_count(length)
         if total > cap:
             raise SizeLimitError(total, cap)
+        if length == 0:
+            return [(si,) for si in range(len(self.subgroups))]
         out = []
+        # depth first with an explicit stack, so the depth is not bounded by
+        # the interpreter's recursion limit: stack[k] runs over the morphisms
+        # that may follow prefix[k], the last entry of the chain so far
         for si in range(len(self.subgroups)):
-            if length == 0:
-                out.append((si,))
-                continue
             prefix = [si]
-
-            def walk(cur: int, remaining: int):
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                    return
-                for mid in self.out[cur]:
-                    prefix.append(mid)
-                    walk(self.m_tgt[mid], remaining - 1)
+            stack = [iter(self.out[si])]
+            while stack:
+                mid = next(stack[-1], None)
+                if mid is None:
+                    stack.pop()
                     prefix.pop()
-
-            walk(si, length)
+                elif len(stack) < length:
+                    prefix.append(mid)
+                    stack.append(iter(self.out[self.m_tgt[mid]]))
+                else:
+                    out.append((*prefix, mid))
         return out

@@ -298,3 +298,25 @@ def test_output_into_missing_directory_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "validation"
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("degree, torsion", [("1500", [2]), ("1501", [])])
+def test_deep_degree_has_no_recursion_limit(capsys, degree, torsion):
+    # ordinary H^n(C2; Z): Z/2 in even degrees n > 0, zero in odd ones
+    code, out, _ = run_cli(capsys, "cohomology", "--group", "c2",
+                           "--family", "trivial-only", "--module", "z-trivial",
+                           "--degrees", degree)
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert (result["rank"], result["torsion"]) == (0, torsion)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(capsys, threads):
+    code, out, err = run_cli(capsys, "--threads", threads,
+                             "cohomology", "--group", "c2",
+                             "--family", "full", "--module", "z-trivial",
+                             "--degrees", "0")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation" and "--threads" in error["message"]

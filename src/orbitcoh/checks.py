@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bredon import (
     BredonComplex,
@@ -274,9 +273,15 @@ def galois_suite() -> SuiteReport:
 
 
 def _independent_det(mat: IntMatrix) -> int:
+    """Determinant by Bareiss's fraction-free elimination over the integers.
+
+    After step i every entry below row i is a minor of order i + 1 of the
+    row-swapped matrix, so each division by the previous pivot is exact.
+    """
     n = mat.rows
-    a = [[Fraction(v) for v in row] for row in mat.to_rows()]
+    a = mat.to_rows()
     sign = 1
+    prev = 1
     for i in range(n):
         piv = next((r for r in range(i, n) if a[r][i]), None)
         if piv is None:
@@ -284,14 +289,15 @@ def _independent_det(mat: IntMatrix) -> int:
         if piv != i:
             a[i], a[piv] = a[piv], a[i]
             sign = -sign
+        top = a[i]
+        p = top[i]
         for r in range(i + 1, n):
-            f = a[r][i] / a[i][i]
-            for c in range(i, n):
-                a[r][c] -= f * a[i][c]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return int(out)
+            row = a[r]
+            f = row[i]
+            for c in range(i + 1, n):
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
+    return sign * prev
 
 
 def properties_suite(snf_samples: int = 1000,

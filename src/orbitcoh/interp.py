@@ -148,8 +148,29 @@ def f_derivation_quotient(module: GModule, family: Family) -> FgAbGroup:
 # ---------------------------------------------------------------------------
 # Finite modules as element tables
 
+class _Memo(dict):
+    """A dict that computes a missing value from its key on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class FiniteModule:
-    """Element-level view of a finite G-module in normal form."""
+    """Element-level view of a finite G-module in normal form.
+
+    Elements are tuples of residues.  act, add, sub and neg read memo
+    tables, act_table[g, v], add_table[a, b], sub_table[a, b] and
+    neg_table[a], that compute each entry on first use; a table holds only
+    what was asked of this instance.  The search loops below index the
+    tables directly.
+    """
 
     def __init__(self, module: GModule):
         nf = module.normalized()
@@ -157,30 +178,50 @@ class FiniteModule:
             raise BadParametersError("module must be finite")
         self.module = nf
         self.group = module.group
-        self.moduli = list(nf.carrier.torsion)
-        self.k = len(self.moduli)
+        self.moduli = moduli = list(nf.carrier.torsion)
+        self.k = k = len(self.moduli)
         self.zero = (0,) * self.k
         self.size = 1
         for d in self.moduli:
             self.size *= d
 
+        def act(key):
+            g, vec = key
+            mat = nf.act(g)
+            return tuple(
+                sum(mat[(i, j)] * vec[j] for j in range(k)) % moduli[i]
+                for i in range(k))
+
+        def add(key):
+            a, b = key
+            return tuple((x + y) % d for x, y, d in zip(a, b, moduli))
+
+        def sub(key):
+            a, b = key
+            return tuple((x - y) % d for x, y, d in zip(a, b, moduli))
+
+        def neg(a):
+            return tuple((-x) % d for x, d in zip(a, moduli))
+
+        self.act_table = _Memo(act)
+        self.add_table = _Memo(add)
+        self.sub_table = _Memo(sub)
+        self.neg_table = _Memo(neg)
+
     def elements(self):
         return [tuple(v) for v in product(*[range(d) for d in self.moduli])]
 
     def act(self, g: int, vec):
-        mat = self.module.act(g)
-        return tuple(
-            sum(mat[(i, j)] * vec[j] for j in range(self.k)) % self.moduli[i]
-            for i in range(self.k))
+        return self.act_table[g, vec]
 
     def add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.moduli))
+        return self.add_table[a, b]
 
     def sub(self, a, b):
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.moduli))
+        return self.sub_table[a, b]
 
     def neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.moduli))
+        return self.neg_table[a]
 
     def index(self, vec) -> int:
         out = 0
@@ -211,23 +252,27 @@ class SplittingClasses:
 
 def _derivations_by_search(fm: FiniteModule, cap: int) -> list[tuple]:
     g = fm.group
+    n = g.order
     gens = g.full_subgroup().generators()
     if not gens:
-        return [(fm.zero,) * g.order]
+        return [(fm.zero,) * n]
     if fm.size ** len(gens) > cap:
         raise SizeLimitError(fm.size ** len(gens), cap)
+    table = g.table
+    act, add = fm.act_table, fm.add_table
     out = []
     elements = fm.elements()
     for assignment in product(elements, repeat=len(gens)):
         vals = {0: fm.zero}
         frontier = [0]
-        gen_map = dict(zip(gens, assignment))
+        gen_map = list(zip(gens, assignment))
         ok = True
         while frontier and ok:
             x = frontier.pop(0)
-            for s, ds in gen_map.items():
-                y = g.mul(x, s)
-                cand = fm.add(fm.act(x, ds), vals[x])
+            row, vx = table[x], vals[x]
+            for s, ds in gen_map:
+                y = row[s]
+                cand = add[act[x, ds], vx]
                 if y in vals:
                     if vals[y] != cand:
                         ok = False
@@ -235,18 +280,19 @@ def _derivations_by_search(fm: FiniteModule, cap: int) -> list[tuple]:
                 else:
                     vals[y] = cand
                     frontier.append(y)
-        if not ok or len(vals) != g.order:
+        if not ok or len(vals) != n:
             continue
-        full = tuple(vals[x] for x in range(g.order))
-        if all(full[g.mul(x, y)] == fm.add(fm.act(x, full[y]), full[x])
-               for x in range(g.order) for y in range(g.order)):
+        full = tuple(vals[x] for x in range(n))
+        if all(full[table[x][y]] == add[act[x, full[y]], full[x]]
+               for x in range(n) for y in range(n)):
             out.append(full)
     return sorted(set(out))
 
 
-def _principal_witness(fm: FiniteModule, deriv, sub: Subgroup):
-    for m in fm.elements():
-        if all(deriv[h] == fm.sub(fm.act(h, m), m) for h in sub.members):
+def _principal_witness(fm: FiniteModule, deriv, sub: Subgroup, elements):
+    act, subtract = fm.act_table, fm.sub_table
+    for m in elements:
+        if all(deriv[h] == subtract[act[h, m], m] for h in sub.members):
             return m
     return None
 
@@ -261,12 +307,14 @@ def splittings_mod_conjugacy(module: GModule, family: Family,
     """
     _require_trivial(family)
     fm = FiniteModule(module)
-    g = module.group
+    n = module.group.order
+    act, subtract = fm.act_table, fm.sub_table
+    elements = fm.elements()
     structure_derivs = []
     for deriv in _derivations_by_search(fm, cap):
         witnesses = []
         for sub in family:
-            m = _principal_witness(fm, deriv, sub)
+            m = _principal_witness(fm, deriv, sub, elements)
             if m is None:
                 break
             witnesses.append(m)
@@ -276,8 +324,8 @@ def splittings_mod_conjugacy(module: GModule, family: Family,
     classes: dict[tuple, FDerivation] = {}
     for deriv, wits in structure_derivs:
         canon = min(
-            tuple(fm.sub(deriv[x], fm.sub(fm.act(x, m), m)) for x in range(g.order))
-            for m in fm.elements())
+            tuple(subtract[deriv[x], subtract[act[x, m], m]] for x in range(n))
+            for m in elements)
         if canon not in classes:
             classes[canon] = FDerivation(deriv, wits)
     ordered = [classes[c] for c in sorted(classes)]
@@ -301,16 +349,17 @@ class FStructureWitness:
     def mul(self, p, q):
         (a, x), (b, y) = p, q
         fm = self.fm
-        return (fm.add(fm.add(a, fm.act(x, b)), self.factor_set[(x, y)]),
-                fm.group.mul(x, y))
+        add = fm.add_table
+        return (add[add[a, fm.act_table[x, b]], self.factor_set[(x, y)]],
+                fm.group.table[x][y])
 
     def inv(self, p):
         a, x = p
-        g = self.fm.group
-        xi = g.inv(x)
+        fm = self.fm
+        xi = fm.group.inverse[x]
         # left inverse: (b, xi)(a, x) = (0, e)
-        b = self.fm.neg(self.fm.add(self.fm.act(xi, a),
-                                    self.factor_set[(xi, x)]))
+        b = fm.neg_table[fm.add_table[fm.act_table[xi, a],
+                                      self.factor_set[(xi, x)]]]
         return (b, xi)
 
     def conj(self, p, q):
@@ -332,6 +381,7 @@ class FStructureWitness:
 
     def axiom_ii_holds(self) -> bool:
         g = self.fm.group
+        elements = self.fm.elements()
         for hs in self.family:
             for ks in self.family:
                 kset = set(ks.members)
@@ -341,7 +391,7 @@ class FStructureWitness:
                     if not all(g.conj(x, h) in kset for h in hs.members):
                         continue
                     found = False
-                    for b in self.fm.elements():
+                    for b in elements:
                         y = (b, x)
                         if all(self.conj(y, p) in lift_k for p in lift_h):
                             found = True
@@ -410,35 +460,37 @@ def _normalized_cochains(fm: FiniteModule, arity_one: bool):
 
 def _coboundary(fm: FiniteModule, eta: dict) -> dict:
     g = fm.group
+    table = g.table
+    act, add, subtract = fm.act_table, fm.add_table, fm.sub_table
     full = {0: fm.zero, **eta}
     out = {}
     for x in range(g.order):
         for y in range(g.order):
-            out[(x, y)] = fm.sub(fm.add(fm.act(x, full[y]), full[x]),
-                                 full[g.mul(x, y)])
+            out[(x, y)] = subtract[add[act[x, full[y]], full[x]],
+                                   full[table[x][y]]]
     return out
 
 
-def _factor_set_tuple(fm: FiniteModule, c: dict) -> tuple:
-    g = fm.group
-    return tuple(c[(x, y)] for x in range(g.order) for y in range(g.order))
-
-
 def _is_cocycle(fm: FiniteModule, c: dict) -> bool:
-    g = fm.group
-    for x in range(g.order):
-        for y in range(g.order):
-            for z in range(g.order):
-                lhs = fm.add(fm.act(x, c[(y, z)]), c[(x, g.mul(y, z))])
-                rhs = fm.add(c[(g.mul(x, y), z)], c[(x, y)])
-                if lhs != rhs:
+    n = fm.group.order
+    table = fm.group.table
+    act, add = fm.act_table, fm.add_table
+    for x in range(n):
+        row_x = table[x]
+        for y in range(n):
+            row_y = table[y]
+            xy, c_xy = row_x[y], c[(x, y)]
+            for z in range(n):
+                lhs = add[act[x, c[(y, z)]], c[(x, row_y[z])]]
+                if lhs != add[c[(xy, z)], c_xy]:
                     return False
     return True
 
 
 def _subgroup_lifts(fm: FiniteModule, factor: dict, sub: Subgroup):
     """All subgroups of the extension mapping isomorphically onto sub."""
-    g = fm.group
+    table = fm.group.table
+    act, add = fm.act_table, fm.add_table
     members = sub.members
     out = []
     nontriv = [h for h in members if h]
@@ -446,11 +498,10 @@ def _subgroup_lifts(fm: FiniteModule, factor: dict, sub: Subgroup):
         tau = {0: fm.zero, **dict(zip(nontriv, assignment))}
         ok = True
         for h1 in members:
+            row, t1 = table[h1], tau[h1]
             for h2 in members:
-                expected = tau[g.mul(h1, h2)]
-                got = fm.add(fm.add(tau[h1], fm.act(h1, tau[h2])),
-                             factor[(h1, h2)])
-                if expected != got:
+                got = add[add[t1, act[h1, tau[h2]]], factor[(h1, h2)]]
+                if tau[row[h2]] != got:
                     ok = False
                     break
             if not ok:
@@ -477,14 +528,15 @@ def enumerate_f_structures(module: GModule, family: Family,
     count = fm.size ** ((n - 1) ** 2)
     if count > cap:
         raise SizeLimitError(count, cap)
+    add = fm.add_table
 
+    normalized = {}
+    for x in range(n):
+        normalized[(0, x)] = fm.zero
+        normalized[(x, 0)] = fm.zero
     cocycles = []
     for cand in _normalized_cochains(fm, arity_one=False):
-        c = {}
-        for x in range(n):
-            c[(0, x)] = fm.zero
-            c[(x, 0)] = fm.zero
-        c.update(cand)
+        c = {**normalized, **cand}
         if _is_cocycle(fm, c):
             cocycles.append(c)
 
@@ -496,19 +548,19 @@ def enumerate_f_structures(module: GModule, family: Family,
         if all(v == fm.zero for v in b.values()):
             derivation_etas.append({0: fm.zero, **eta})
 
-    def class_rep(c):
-        return min(
-            _factor_set_tuple(fm, {k: fm.add(c[k], b[k]) for k in c})
-            for b in coboundaries)
-
     # the minimal tuple in each coboundary orbit is the class representative,
     # and it is itself a cocycle of the class
     pair_keys = [(x, y) for x in range(n) for y in range(n)]
+
+    def class_rep(c):
+        return min(tuple(add[c[k], b[k]] for k in pair_keys)
+                   for b in coboundaries)
+
     reps = sorted({class_rep(c) for c in cocycles})
     by_class = {rep: dict(zip(pair_keys, rep)) for rep in reps}
 
     subs = list(family)
-    zero_rep = _zero_rep(fm, n)
+    zero_rep = (fm.zero,) * (n * n)
     classes: list[FStructureClass] = []
     for rep in reps:
         factor = by_class[rep]
@@ -522,7 +574,7 @@ def enumerate_f_structures(module: GModule, family: Family,
                 {s.members: lift for s, lift in zip(subs, choice)})
             if not witness.axiom_ii_holds():
                 continue
-            canon = _canonical_structure_key(fm, family, factor, witness,
+            canon = _canonical_structure_key(fm, family, witness,
                                              derivation_etas)
             if canon not in buckets or witness.lift_key() < buckets[canon].lift_key():
                 buckets[canon] = witness
@@ -532,7 +584,7 @@ def enumerate_f_structures(module: GModule, family: Family,
                 fm, family, factor,
                 {s.members: frozenset((fm.zero, h) for h in s.members)
                  for s in subs})
-            split_key = _canonical_structure_key(fm, family, factor, std,
+            split_key = _canonical_structure_key(fm, family, std,
                                                  derivation_etas)
         for canon in sorted(buckets):
             classes.append(
@@ -540,37 +592,29 @@ def enumerate_f_structures(module: GModule, family: Family,
     return classes
 
 
-def _zero_rep(fm: FiniteModule, n: int) -> tuple:
-    return tuple(fm.zero for _ in range(n * n))
-
-
-def _canonical_structure_key(fm: FiniteModule, family: Family, factor: dict,
+def _canonical_structure_key(fm: FiniteModule, family: Family,
                              witness: FStructureWitness, derivation_etas) -> tuple:
-    g = fm.group
+    act, add, subtract = fm.act_table, fm.add_table, fm.sub_table
+    elements = fm.elements()
+    index = {a: fm.index(a) for a in elements}
     best = None
     for eta in derivation_etas:
         per_sub = []
         for s in family:
             lift = witness.lifts[s.members]
-            shifted = frozenset((fm.add(a, eta[x]), x) for (a, x) in lift)
-            # minimize over conjugation by module elements
+            shifted = frozenset((add[a, eta[x]], x) for (a, x) in lift)
+            # minimize over conjugation by module elements: since the factor
+            # set is normalized, (m,e)^-1 (a,x) (m,e) = (a - m + x.m, x)
             cands = []
-            for m in fm.elements():
-                conj = frozenset(
-                    _conj_in_extension(fm, factor, m, p) for p in shifted)
-                cands.append(tuple(sorted((fm.index(a), x) for (a, x) in conj)))
+            for m in elements:
+                conj = frozenset((add[subtract[a, m], act[x, m]], x)
+                                 for (a, x) in shifted)
+                cands.append(tuple(sorted((index[a], x) for (a, x) in conj)))
             per_sub.append(min(cands))
         key = tuple(per_sub)
         if best is None or key < best:
             best = key
     return best
-
-
-def _conj_in_extension(fm: FiniteModule, factor: dict, m, p):
-    """(m,e)^-1 p (m,e) inside the extension with the given factor set."""
-    a, x = p
-    # (-m, e)(a, x)(m, e) = (-m + a + x.m, x) since the factor set is normalized
-    return (fm.add(fm.sub(a, m), fm.act(x, m)), x)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,7 @@ class OrbitCategory:
                     if self.in_chains[mid]:
                         self.out[si].append(mid)
         self._comp: dict[tuple[int, int], int] = {}
+        self._counts: list[list[int]] = [[1] * len(self.subgroups)]
 
     def morphism_id(self, m: OrbitMorphism) -> int:
         si = self.sub_index[m.source.members]
@@ -146,17 +147,24 @@ class OrbitCategory:
         return got
 
     def chain_count(self, length: int) -> int:
+        """The number of chains of the given length.
+
+        _counts[n][t] counts the chains of length n ending at object t; the
+        list is extended on demand and stops at the first all-zero vector,
+        after which every count is 0.  So a range of lengths costs time
+        linear in its largest.
+        """
         if length < 0:
             raise BadParametersError("chain length must be >= 0")
-        counts = [1] * len(self.subgroups)
-        for _ in range(length):
+        counts = self._counts
+        while len(counts) <= length and any(counts[-1]):
             nxt = [0] * len(self.subgroups)
-            for si, c in enumerate(counts):
+            for si, c in enumerate(counts[-1]):
                 if c:
                     for mid in self.out[si]:
                         nxt[self.m_tgt[mid]] += c
-            counts = nxt
-        return sum(counts)
+            counts.append(nxt)
+        return sum(counts[length]) if length < len(counts) else 0
 
     def chain_tuples(self, length: int, cap: int = DEFAULT_CHAIN_CAP) -> list[tuple]:
         """All (start, mid_1, ..., mid_length) in lexicographic order."""

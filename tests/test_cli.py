@@ -311,6 +311,19 @@ def test_deep_degree_has_no_recursion_limit(capsys, degree, torsion):
     assert (result["rank"], result["torsion"]) == (0, torsion)
 
 
+def test_long_degree_range_of_an_empty_complex(capsys):
+    # the reduced category of c1 has one object and no non-identity morphism,
+    # so H^0 = Z and every higher chain group is empty
+    code, out, _ = run_cli(capsys, "cohomology", "--group", "c1",
+                           "--family", "full", "--module", "z-trivial",
+                           "--degrees", "0..20000")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [r["degree"] for r in results] == list(range(20001))
+    assert (results[0]["rank"], results[0]["torsion"]) == (1, [])
+    assert all((r["rank"], r["torsion"]) == (0, []) for r in results[1:])
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(capsys, threads):
     code, out, err = run_cli(capsys, "--threads", threads,

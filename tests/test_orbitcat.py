@@ -101,6 +101,21 @@ def test_chain_recurrence():
             assert total == full.chain_count(n)
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+def test_chain_counts_in_any_order_match_enumeration(reduced):
+    for name in ("c1", "c2", "c4", "s3"):
+        cat = OrbitCategory(full_family(builtin_group(name)), reduced=reduced)
+        for n in (3, 0, 4, 1, 2):
+            assert cat.chain_count(n) == len(cat.chain_tuples(n))
+
+
+def test_chain_counts_stop_at_the_first_empty_length():
+    cat = OrbitCategory(full_family(builtin_group("c1")))
+    assert cat.chain_count(0) == 1
+    assert cat.chain_count(10 ** 9) == 0
+    assert len(cat._counts) == 2
+
+
 def test_chain_order_is_lexicographic():
     g, fam = c2_family()
     cat = OrbitCategory(fam)

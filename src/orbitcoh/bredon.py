@@ -116,11 +116,14 @@ class _CochainComplex:
     its unit pivots (a map from row to column).  Clearing: when
     d^n @ d^{n-1} vanishes over Z and d^{n-1} is already eliminated, the
     columns of d^n at d^{n-1}'s unit-pivot rows T are left out of its
-    elimination.  That elimination is by row operations only, so the pivot
-    minor d^{n-1}[T, R] (R the pivot columns) is square with determinant
-    +-1.  Hence the matrix [d^{n-1}[:, R] | e_t for t not in T] is
-    unimodular, d^n maps its first block to zero, and d^n and d^n[:, not T]
-    have the same invariant factors.
+    elimination.  That elimination retires its unit pivots, by column
+    operations, before any other step, so d^{n-1}[:, R] = S[:, R] U (R the
+    pivot columns, S the pivot columns as retired, U unit upper
+    triangular) with S[T, R] unit lower triangular up to sign; the pivot
+    minor d^{n-1}[T, R] is square with determinant +-1.  Hence the matrix
+    [d^{n-1}[:, R] | e_t for t not in T] is unimodular, d^n maps its first
+    block to zero, and d^n and d^n[:, not T] have the same invariant
+    factors.
     """
 
     def __init__(self):

@@ -670,13 +670,10 @@ def character_group(p_sub: Subgroup, family: Family) -> CharacterGroup:
     for j, col in enumerate(rel_cols):
         for i, v in col.items():
             entries[(i, j)] = v
-    relations = IntMatrix(np, len(rel_cols), entries)
-    quotient = FgAbGroup(np, relations)
-    rank, torsion = quotient.normal_form
-    if rank != 0:
+    sf = SmithForm(IntMatrix(np, len(rel_cols), entries))
+    if len(sf.diag) != np:
         raise BadParametersError("character quotient of a finite group must be finite")
 
-    sf = SmithForm(relations)
     tor_rows = [i for i, d in enumerate(sf.diag) if d > 1]
     gens_of_p = p_sub.generators()
     generators = []

@@ -3,8 +3,14 @@
 Everything downstream (cochain complexes, invariants, character groups)
 reduces to three primitives over Z: Smith normal form, integer kernels, and
 exact linear solves.  Matrices are stored sparsely because the cochain
-differentials are huge and almost empty; the dense Smith routine is only ever
-fed small matrices (residuals, presentations, random test inputs).
+differentials are huge and almost empty.  Sparse matrices are eliminated on
+one column layout (column dicts, a row index of the active columns, one
+column update) with two pivot orders: invariant_factors retires unit pivots
+first, as Dumas, Saunders and Villard (2001) do, and ColumnReduction runs a
+Euclid per row in ascending row order for kernels and solves.  The dense
+Smith routine is only ever fed small matrices (the residual without unit
+entries, presentations, random test inputs); SmithForm reads its
+transforms off a border of the matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +20,16 @@ from collections import Counter
 from math import gcd
 
 from .errors import ChainMismatchError, CompositionNonzeroError
+
+
+def _axpy(dst: dict, src: dict, q: int):
+    """dst -= q * src, for sparse vectors as dicts without zeros."""
+    for k, vv in src.items():
+        nv = dst.get(k, 0) - q * vv
+        if nv:
+            dst[k] = nv
+        elif k in dst:
+            del dst[k]
 
 
 class IntMatrix:
@@ -106,12 +122,7 @@ class IntMatrix:
     def __add__(self, other):
         self._same_shape(other)
         out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+        _axpy(out, other.entries, -1)
         return IntMatrix(self.rows, self.cols, out)
 
     def __sub__(self, other):
@@ -154,9 +165,6 @@ class IntMatrix:
         return IntMatrix(count, self.cols,
                          {(i, j): v for (i, j), v in self.entries.items() if i < count})
 
-    def col_dict(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns_as_dicts(self):
         out = [dict() for _ in range(self.cols)]
         for (i, j), v in self.entries.items():
@@ -190,59 +198,35 @@ def _centered_quotient(a: int, b: int) -> int:
     return q
 
 
-def _snf_dense(a_rows, track: bool):
-    """Diagonalize by unimodular row/column operations.
+def _snf_dense(a, m: int, n: int) -> list[int]:
+    """Diagonalize the leading m x n block of the row list a, in place.
 
-    Returns (diag, U, V, Uinv, Vinv); the transform slots are None when
-    track is false.  Pivots are chosen with minimal absolute value, which
-    keeps intermediate entries small at the scale this library works at.
+    Row operations act on the first m rows across their whole width and
+    column operations on the first n columns down their whole height, so a
+    caller that borders the block as [[A, I], [I, 0]] reads U from the top
+    right and V from the bottom left, with U @ A @ V the diagonal.  Returns
+    that diagonal's nonzero entries, d1 | d2 | ..., all positive.  Pivots
+    are chosen with minimal absolute value, which keeps intermediate entries
+    small at the scale this library works at.
     """
-    a = [row[:] for row in a_rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if track:
-        u = [[int(i == j) for j in range(m)] for i in range(m)]
-        uinv = [[int(i == j) for j in range(m)] for i in range(m)]
-        v = [[int(i == j) for j in range(n)] for i in range(n)]
-        vinv = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        u = uinv = v = vinv = None
 
     def swap_rows(i, j):
-        if i == j:
-            return
         a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-            for row in uinv:
-                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, c):
         # row_dst += c * row_src
         if c == 0:
             return
-        ra, rs = a[dst], a[src]
-        for k in range(n):
-            rs_k = rs[k]
-            if rs_k:
-                ra[k] += c * rs_k
-        if track:
-            ru, rs_u = u[dst], u[src]
-            for k in range(m):
-                if rs_u[k]:
-                    ru[k] += c * rs_u[k]
-            for row in uinv:
-                row[src] -= c * row[dst]
+        ra = a[dst]
+        for k, x in enumerate(a[src]):
+            if x:
+                ra[k] += c * x
 
     def add_col(src, dst, c):
         if c == 0:
@@ -250,21 +234,9 @@ def _snf_dense(a_rows, track: bool):
         for row in a:
             if row[src]:
                 row[dst] += c * row[src]
-        if track:
-            for row in v:
-                if row[src]:
-                    row[dst] += c * row[src]
-            rs, rd = vinv[src], vinv[dst]
-            for k in range(n):
-                if rd[k]:
-                    rs[k] -= c * rd[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
-            for row in uinv:
-                row[i] = -row[i]
 
     t = 0
     limit = min(m, n)
@@ -334,24 +306,23 @@ def _snf_dense(a_rows, track: bool):
             if a[j][j] < a[i][i]:
                 swap_rows(i, j)
                 swap_cols(i, j)
-    diag = [a[i][i] for i in range(rank)]
-    return diag, u, v, uinv, vinv
+    return [a[i][i] for i in range(rank)]
 
 
 class SmithForm:
     """U @ A @ V == D with U, V unimodular and D diagonal (d1 | d2 | ...)."""
 
-    __slots__ = ("u", "d", "v", "uinv", "vinv", "diag", "rank")
+    __slots__ = ("u", "d", "v", "diag")
 
     def __init__(self, a: IntMatrix):
-        diag, u, v, uinv, vinv = _snf_dense(a.to_rows(), track=True)
-        self.diag = diag
-        self.rank = len(diag)
-        self.u = IntMatrix.from_rows(u) if u is not None else IntMatrix.identity(0)
-        self.v = IntMatrix.from_rows(v) if v is not None else IntMatrix.identity(0)
-        self.uinv = IntMatrix.from_rows(uinv) if uinv is not None else IntMatrix.identity(0)
-        self.vinv = IntMatrix.from_rows(vinv) if vinv is not None else IntMatrix.identity(0)
-        self.d = IntMatrix.diagonal(diag, rows=a.rows, cols=a.cols)
+        m, n = a.rows, a.cols
+        aug = [row + [int(i == k) for k in range(m)]
+               for i, row in enumerate(a.to_rows())]
+        aug += [[int(i == k) for k in range(n)] + [0] * m for i in range(n)]
+        self.diag = _snf_dense(aug, m, n)
+        self.u = IntMatrix.from_rows([row[n:] for row in aug[:m]])
+        self.v = IntMatrix.from_rows([row[:n] for row in aug[m:]])
+        self.d = IntMatrix.diagonal(self.diag, rows=m, cols=n)
 
 
 def smith_normal_form(a: IntMatrix):
@@ -360,93 +331,102 @@ def smith_normal_form(a: IntMatrix):
     return sf.u, sf.d, sf.v
 
 
+# ---------------------------------------------------------------------------
+# Sparse elimination by column operations: invariant factors and kernels
+
+def _row_index(work: list[dict]) -> dict[int, set[int]]:
+    """at[r]: the columns of work with a nonzero entry in row r."""
+    at: dict[int, set[int]] = {}
+    for j, c in enumerate(work):
+        for r in c:
+            at.setdefault(r, set()).add(j)
+    return at
+
+
+def _column_update(work, at, v, j, p, q):
+    """work[j] -= q * work[p], keeping the row index at; the same on the
+    tracked transform v unless it is None."""
+    wj = work[j]
+    for rr, vv in work[p].items():
+        old = wj.get(rr)
+        if old is None:
+            wj[rr] = -q * vv
+            at[rr].add(j)
+        else:
+            nv = old - q * vv
+            if nv:
+                wj[rr] = nv
+            else:
+                del wj[rr]
+                at[rr].discard(j)
+    if v is not None:
+        _axpy(v[j], v[p], q)
+
+
 def invariant_factors(a: IntMatrix, cleared=frozenset(),
                       with_pivots: bool = False):
     """Nonzero diagonal of the Smith form (so len == rank), sparse-friendly.
 
-    Unimodular pivots are eliminated first on sparse structures, by row
-    operations only; the (typically tiny) residual without unit entries
-    reaches the dense routine.  Columns in cleared are left out of the
-    elimination: that is exact when they are the unit-pivot rows, as found
-    here, of a matrix b with a @ b == 0 (see bredon._CochainComplex).  With
-    with_pivots the result is (factors, pivots), pivots mapping each
-    unit-pivot row to its column.
+    Unit pivots are eliminated first, by column operations, sparsest column
+    first and, in it, the unit row meeting the fewest active columns; a
+    retired pivot column is cleared by row operations that touch no other
+    column, so it is dropped.  The (typically tiny) residual without unit
+    entries reaches the dense routine, transposed.  Columns in cleared are
+    left out of the elimination: that is exact when they are the unit-pivot
+    rows, as found here, of a matrix b with a @ b == 0 (see
+    bredon._CochainComplex).  With with_pivots the result is (factors,
+    pivots), pivots mapping each unit-pivot row to its column.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (i, j), v in a.entries.items():
-        if j in cleared:
-            continue
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+    work: list[dict | None] = a.columns_as_dicts()
+    for j in cleared:
+        work[j] = {}
+    at = _row_index(work)
     pivots: dict[int, int] = {}
-    heap = [(len(r), i) for i, r in rows.items()]
+    heap = [(len(c), j) for j, c in enumerate(work) if c]
     heapq.heapify(heap)
     parked: set[int] = set()
     while heap:
-        nnz, r = heapq.heappop(heap)
-        row = rows.get(r)
-        if row is None or len(row) != nnz:
+        nnz, p = heapq.heappop(heap)
+        col = work[p]
+        if not col or len(col) != nnz:
             continue                      # stale heap entry
-        unit_cols = [c for c, v in row.items() if v in (1, -1)]
-        if not unit_cols:
-            parked.add(r)
+        unit_rows = [r for r, v in col.items() if v in (1, -1)]
+        if not unit_rows:
+            parked.add(p)
             continue
-        c = min(unit_cols, key=lambda cc: (len(cols[cc]), cc))
-        pv = row[c]
-        for r2 in sorted(cols[c] - {r}):
-            row2 = rows[r2]
-            q = row2[c] // pv
-            for cc, vv in row.items():
-                nv = row2.get(cc, 0) - q * vv
-                if nv:
-                    if cc not in row2:
-                        cols[cc].add(r2)
-                    row2[cc] = nv
-                elif cc in row2:
-                    del row2[cc]
-                    cols[cc].discard(r2)
-            if row2:
-                heapq.heappush(heap, (len(row2), r2))
-                parked.discard(r2)
-            else:
-                del rows[r2]
-                parked.discard(r2)
-        # column ops clearing the rest of row r touch no other row now
-        for cc in row:
-            cols[cc].discard(r)
-            if not cols[cc]:
-                del cols[cc]
-        del rows[r]
-        pivots[r] = c
-    # dense residual
+        r = min(unit_rows, key=lambda rr: (len(at[rr]), rr))
+        pv = col[r]
+        for j in sorted(at[r] - {p}):
+            _column_update(work, at, None, j, p, work[j][r] // pv)
+            parked.discard(j)
+            if work[j]:
+                heapq.heappush(heap, (len(work[j]), j))
+        for rr in col:
+            at[rr].discard(p)
+        work[p] = None
+        pivots[r] = p
     factors = [1] * len(pivots)
-    live = sorted(r for r in parked if r in rows and rows[r])
+    live = sorted(j for j in parked if work[j])
     if live:
-        col_ids = sorted({c for r in live for c in rows[r]})
-        cmap = {c: k for k, c in enumerate(col_ids)}
-        dense = [[0] * len(col_ids) for _ in live]
-        for k, r in enumerate(live):
-            for c, v in rows[r].items():
-                dense[k][cmap[c]] = v
-        diag, *_ = _snf_dense(dense, track=False)
-        factors.extend(diag)
+        row_ids = sorted({r for j in live for r in work[j]})
+        dense = [[work[j].get(r, 0) for r in row_ids] for j in live]
+        factors.extend(_snf_dense(dense, len(live), len(row_ids)))
     # 1s divide everything, residual chain is already consistent
     return (factors, pivots) if with_pivots else factors
 
 
-# ---------------------------------------------------------------------------
-# Column reduction: kernels, ranks, exact solves
-
 class ColumnReduction:
     """Unimodular column reduction of an integer matrix, tracking V.
 
-    After construction the retired pivot columns form a staircase (each has
-    the unique nonzero entry among pivots at its pivot row, and zeros at all
-    earlier pivot rows), and every non-retired column has been reduced to
-    zero.  That gives the kernel lattice, the rank, and forced back-solves.
-    Rows are processed in ascending order; an index from each row to the
-    active columns meeting it yields each row's candidates without a scan.
+    It runs on the column layout of invariant_factors (the row index of
+    _row_index and the update of _column_update) with another pivot order:
+    rows are processed in ascending order, and each row's active columns
+    are combined by a centered Euclid on that row into one pivot, whatever
+    its value.  After construction the retired pivot columns form a
+    staircase (each has the unique nonzero entry among pivots at its pivot
+    row, and zeros at all earlier pivot rows), and every non-retired column
+    has been reduced to zero.  That gives the kernel lattice, the rank, and
+    forced back-solves.
     """
 
     __slots__ = ("ncols", "work", "v", "pivots", "free")
@@ -457,12 +437,9 @@ class ColumnReduction:
         self.v = [{j: 1} for j in range(len(columns))]
         self.pivots: list[tuple[int, int]] = []   # (row, col) in retirement order
         active = set(range(len(columns)))
-        # at[r]: the active columns with a nonzero entry in row r, for every
-        # row not yet processed (processed rows are zero in active columns)
-        at: dict[int, set[int]] = {}
-        for j, c in enumerate(self.work):
-            for r in c:
-                at.setdefault(r, set()).add(j)
+        # at holds every row not yet processed; processed rows are zero in
+        # every active column
+        at = _row_index(self.work)
         for r in sorted(at):
             cand = sorted(at[r],
                           key=lambda j: (abs(self.work[j][r]), len(self.work[j]), j))
@@ -482,26 +459,7 @@ class ColumnReduction:
         while work[j].get(r):
             q = _centered_quotient(work[j][r], work[p][r])
             if q:
-                wj, wp = work[j], work[p]
-                for rr, vv in wp.items():
-                    old = wj.get(rr)
-                    if old is None:
-                        wj[rr] = -q * vv
-                        at[rr].add(j)
-                    else:
-                        nv = old - q * vv
-                        if nv:
-                            wj[rr] = nv
-                        else:
-                            del wj[rr]
-                            at[rr].discard(j)
-                vj, vp = v[j], v[p]
-                for rr, vv in vp.items():
-                    nv = vj.get(rr, 0) - q * vv
-                    if nv:
-                        vj[rr] = nv
-                    elif rr in vj:
-                        del vj[rr]
+                _column_update(work, at, v, j, p, q)
             if work[j].get(r):
                 work[p], work[j] = work[j], work[p]
                 v[p], v[j] = v[j], v[p]
@@ -537,24 +495,13 @@ class ColumnReduction:
                 pv = self.work[p][r]
                 if val % pv:
                     return None
-                q = val // pv
-                coeffs[p] = q
-                for rr, vv in self.work[p].items():
-                    nv = bb.get(rr, 0) - q * vv
-                    if nv:
-                        bb[rr] = nv
-                    elif rr in bb:
-                        del bb[rr]
+                q = coeffs[p] = val // pv
+                _axpy(bb, self.work[p], q)
         if bb:
             return None
         x: dict[int, int] = {}
         for p, q in coeffs.items():
-            for i, vv in self.v[p].items():
-                nv = x.get(i, 0) + q * vv
-                if nv:
-                    x[i] = nv
-                elif i in x:
-                    del x[i]
+            _axpy(x, self.v[p], -q)
         return x
 
 
@@ -567,8 +514,8 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
     """X with A @ X = B over the integers, or None when no solution exists."""
     red = ColumnReduction(a.columns_as_dicts(), a.cols)
     entries = {}
-    for j in range(b.cols):
-        x = red.solve_column(b.col_dict(j))
+    for j, col in enumerate(b.columns_as_dicts()):
+        x = red.solve_column(col)
         if x is None:
             return None
         for i, v in x.items():
@@ -723,7 +670,8 @@ class NormalFormMap:
         emb = IntMatrix(group.ngens, len(keep),
                         {(i, k): 1 for k, i in enumerate(keep)})
         self.to_nf = proj @ sf.u
-        self.from_nf = sf.uinv @ emb
+        # U is unimodular, so the one solution is U^-1 @ emb
+        self.from_nf = solve_exact(sf.u, emb)
 
 
 class AbHom:

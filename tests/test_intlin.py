@@ -68,6 +68,16 @@ def test_snf_zero_1x1():
     assert v.to_rows() == [[1]]
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_snf_empty_shapes(rows, cols):
+    # the transforms are square on the matrix's own shape even without rows
+    a = IntMatrix(rows, cols)
+    u, d, v = smith_normal_form(a)
+    assert (u.rows, u.cols, v.rows, v.cols) == (rows, rows, cols, cols)
+    assert u == IntMatrix.identity(rows) and v == IntMatrix.identity(cols)
+    assert (u @ a @ v) == d == a
+
+
 def test_snf_identity_3x3():
     a = IntMatrix.identity(3)
     u, d, v = smith_normal_form(a)

@@ -1,7 +1,10 @@
-"""stdout of the interpretation-search commands, frozen byte for byte.
+"""stdout of the interpretation commands, frozen byte for byte.
 
-The files under tests/pinned/ are the outputs of the plain element-by-element
-search routes; the memoized tables must leave every byte unchanged.
+The structures and derivations files under tests/pinned/ are the outputs of
+the plain element-by-element search routes; the memoized tables must leave
+every byte unchanged.  The characters files print rows of the tracked Smith
+transform U as generators, so they pin the dense Smith routine's choice of
+U as well as the groups.
 """
 
 from pathlib import Path
@@ -22,6 +25,13 @@ CASES = [
     ("derivations_c4_full_z4.json",
      ["derivations", "--group", "c4", "--family", "full",
       "--module", "z4-trivial", "--check"]),
+    ("characters_s3_trivial.json",
+     ["characters", "--group", "s3", "--family", "trivial-only"]),
+    ("characters_d4_trivial.json",
+     ["characters", "--group", "d4", "--family", "trivial-only"]),
+    ("characters_q8_trivial_sub0123.json",
+     ["characters", "--group", "q8", "--family", "trivial-only",
+      "--subgroup", "0,1,2,3"]),
 ]
 
 

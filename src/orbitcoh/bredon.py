@@ -28,7 +28,7 @@ test, not a shortcut).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .coeff import GModule, OrbitModule
 from .errors import BadParametersError, SizeLimitError
@@ -41,11 +41,12 @@ from .intlin import (
     direct_sum_groups,
     invariant_factors,
     kernel_of_hom,
+    product_vanishes,
     solve_exact,
     stack_homs,
     subquotient,
 )
-from .orbitcat import DEFAULT_CHAIN_CAP, OrbitCategory
+from .orbitcat import DEFAULT_CHAIN_CAP, ChainTable, OrbitCategory
 
 DEFAULT_SIZE_CAP = DEFAULT_CHAIN_CAP
 
@@ -86,22 +87,6 @@ def _result_from_groups(degree: int, group: FgAbGroup,
     return CohomologyResult(degree, rank, torsion, representatives)
 
 
-class _Layout:
-    """Generator layout of one cochain degree: a block per chain."""
-
-    __slots__ = ("chains", "offsets", "total", "index")
-
-    def __init__(self, chains, block_sizes):
-        self.chains = chains
-        self.index = {c: i for i, c in enumerate(chains)}
-        self.offsets = []
-        total = 0
-        for c in chains:
-            self.offsets.append(total)
-            total += block_sizes[c[0]]
-        self.total = total
-
-
 class _CochainComplex:
     """Cohomology of a cochain complex from its differentials.
 
@@ -109,43 +94,45 @@ class _CochainComplex:
     C^degree -> C^{degree+1}, and cache it in _diffs; the subquotient step
     is shared.
 
-    The composite d^n @ d^{n-1} is formed once per degree and serves the
-    exact d.d check and subquotient's choice of route.  On the
-    invariant-factor route each differential is eliminated once per
-    complex: _eliminated keeps, per degree, the invariant factors of d^n and
-    its unit pivots (a map from row to column).  Clearing: when
-    d^n @ d^{n-1} vanishes over Z and d^{n-1} is already eliminated, the
-    columns of d^n at d^{n-1}'s unit-pivot rows T are left out of its
-    elimination.  That elimination retires its unit pivots, by column
-    operations, before any other step, so d^{n-1}[:, R] = S[:, R] U (R the
-    pivot columns, S the pivot columns as retired, U unit upper
-    triangular) with S[T, R] unit lower triangular up to sign; the pivot
-    minor d^{n-1}[T, R] is square with determinant +-1.  Hence the matrix
-    [d^{n-1}[:, R] | e_t for t not in T] is unimodular, d^n maps its first
-    block to zero, and d^n and d^n[:, not T] have the same invariant
+    Whether d^n @ d^{n-1} vanishes over Z is tested once per degree,
+    exactly (intlin.product_vanishes), for the d.d check and subquotient's
+    choice of route.  On the invariant-factor route each differential is
+    eliminated once per complex: _eliminated keeps, per degree, the
+    invariant factors of d^n and its unit pivots (a map from row to
+    column).  Clearing: when d^n @ d^{n-1} vanishes over Z and d^{n-1} is
+    already eliminated, the columns of d^n at d^{n-1}'s unit-pivot rows T
+    are left out of its elimination.  That elimination retires its unit
+    pivots, by column operations, before any other step, so d^{n-1}[:, R] =
+    S[:, R] U (R the pivot columns, S the pivot columns as retired, U unit
+    upper triangular) with S[T, R] unit lower triangular up to sign; the
+    pivot minor d^{n-1}[T, R] is square with determinant +-1.  Hence the
+    matrix [d^{n-1}[:, R] | e_t for t not in T] is unimodular, d^n maps its
+    first block to zero, and d^n and d^n[:, not T] have the same invariant
     factors.
     """
 
     def __init__(self):
         self._diffs: dict[int, AbHom] = {}
-        self._comps: dict[int, IntMatrix] = {}
+        self._vanishes: dict[int, bool] = {}
         self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
 
     def _differentials_at(self, degree: int) -> tuple[AbHom, AbHom]:
         """(d^{degree-1}, d^degree), with the zero map into degree 0."""
         if degree < 0:
             raise BadParametersError("degree must be >= 0")
-        d_next = self.differential(degree)
         if degree == 0:
+            d_next = self.differential(0)
             return AbHom.zero(FgAbGroup.free(0), d_next.source), d_next
-        return self.differential(degree - 1), d_next
+        # the lower one first, so chain tables are built in ascending order
+        return self.differential(degree - 1), self.differential(degree)
 
-    def _composite(self, degree: int) -> IntMatrix:
-        """d^degree @ d^{degree-1}, formed once per degree."""
-        got = self._comps.get(degree)
+    def _dd_vanishes(self, degree: int) -> bool:
+        """Whether d^degree @ d^{degree-1} is 0 over Z, tested once per degree."""
+        got = self._vanishes.get(degree)
         if got is None:
             d_in, d_out = self._differentials_at(degree)
-            got = self._comps[degree] = d_out.matrix @ d_in.matrix
+            got = self._vanishes[degree] = product_vanishes(d_out.matrix,
+                                                            d_in.matrix)
         return got
 
     def _factors(self, degree: int) -> list[int]:
@@ -156,7 +143,7 @@ class _CochainComplex:
         if got is None:
             below = self._eliminated.get(degree - 1)
             cleared = {}
-            if below is not None and self._composite(degree).is_zero():
+            if below is not None and self._dd_vanishes(degree):
                 cleared = below[1]
             got = invariant_factors(self.differential(degree).matrix, cleared,
                                     with_pivots=True)
@@ -171,7 +158,7 @@ class _CochainComplex:
         if not with_representatives:
             # d^{degree-1} is eliminated first, so d^degree can be cleared
             group = subquotient(
-                *self._differentials_at(degree), self._composite(degree),
+                *self._differentials_at(degree), self._dd_vanishes(degree),
                 lambda: (self._factors(degree - 1), self._factors(degree)))
             return _result_from_groups(degree, group)
         pres = self.cohomology_presentation(degree)
@@ -201,71 +188,60 @@ class BredonComplex(_CochainComplex):
         self.value_groups = [module.value(s) for s in self.cat.subgroups]
         self.block_size = [g.ngens for g in self.value_groups]
         self.morph_mat = [module.map_matrix(m) for m in self.cat.morphs]
-        self._layouts: dict[int, _Layout] = {}
+        self._blocks_at: dict[int, tuple] = {}
         super().__init__()
 
-    def layout(self, degree: int) -> _Layout:
-        got = self._layouts.get(degree)
+    def layout(self, degree: int) -> ChainTable:
+        """The chains of one degree, within the size cap."""
+        return self.cat.chains(degree, self.size_cap)
+
+    def _blocks(self, degree: int):
+        """(cochain group, each chain's first generator, then the total)."""
+        got = self._blocks_at.get(degree)
         if got is None:
-            tuples = self.cat.chain_tuples(degree, self.size_cap)
-            got = _Layout(tuples, self.block_size)
-            self._layouts[degree] = got
+            starts = self.layout(degree).start
+            got = self._blocks_at[degree] = (
+                direct_sum_groups(self.value_groups[s] for s in starts),
+                list(accumulate(map(self.block_size.__getitem__, starts), initial=0)))
         return got
 
     def cochain_group(self, degree: int) -> FgAbGroup:
-        return direct_sum_groups(self.value_groups[c[0]]
-                                 for c in self.layout(degree).chains)
-
-    def _row_entries(self, src, dst):
-        """Entries of the differential, block row by block row of dst."""
-        cat = self.cat
-        out = []
-        for c in dst.chains:
-            roff = dst.offsets[dst.index[c]]
-            start = c[0]
-            n1 = len(c) - 1          # number of morphisms: degree + 1
-            # face 0: drop the first morphism, twist by its module map
-            first = c[1]
-            f0 = (cat.m_tgt[first],) + c[2:]
-            coff = src.offsets[src.index[f0]]
-            for (i, j), v in self.morph_mat[first].entries.items():
-                out.append((roff + i, coff + j, v))
-            # inner faces: compose adjacent morphisms; a composite that
-            # is left out of chains (an identity) gives a degenerate face
-            for i in range(1, n1):
-                comp = cat.compose_ids(c[i], c[i + 1])
-                if not cat.in_chains[comp]:
-                    continue
-                fc = c[:i] + (comp,) + c[i + 2:]
-                coff = src.offsets[src.index[fc]]
-                sign = -1 if i % 2 else 1
-                for t in range(self.block_size[start]):
-                    out.append((roff + t, coff + t, sign))
-            # last face: drop the final morphism
-            fl = c[:-1]
-            coff = src.offsets[src.index[fl]]
-            sign = -1 if n1 % 2 else 1
-            for t in range(self.block_size[start]):
-                out.append((roff + t, coff + t, sign))
-        return out
+        return self._blocks(degree)[0]
 
     def differential(self, degree: int) -> AbHom:
-        """d^degree as a map of presented groups C^degree -> C^{degree+1}."""
+        """d^degree, in one pass over the rows of the face table of degree
+        + 1: face 0 is twisted by the first morphism's module map, face k > 0
+        adds (-1)^k on its block's diagonal unless degenerate (-1)."""
         got = self._diffs.get(degree)
         if got is not None:
             return got
-        src = self.layout(degree)
+        source, src_off = self._blocks(degree)
+        target, dst_off = self._blocks(degree + 1)
         dst = self.layout(degree + 1)
+        n = len(dst.start)
+        signs = [(-1) ** k for k in range(degree + 2)] if n else []
         entries: dict[tuple[int, int], int] = {}
-        for i, j, v in self._row_entries(src, dst):
-            key = (i, j)
-            s = entries.get(key, 0) + v
-            if s:
-                entries[key] = s
-            elif key in entries:
-                del entries[key]
-        mat = IntMatrix(dst.total, src.total, entries)
-        hom = AbHom(self.cochain_group(degree), self.cochain_group(degree + 1), mat)
+        get = entries.get
+        for r, (s, a, roff) in enumerate(zip(dst.start, dst.first, dst_off)):
+            faces = dst.faces[r::n]
+            coff = src_off[faces[0]]
+            for (i, j), v in self.morph_mat[a].entries.items():
+                entries[(roff + i, coff + j)] = v
+            rows = range(roff, roff + self.block_size[s])
+            for k in range(1, degree + 2):
+                f = faces[k]
+                if f >= 0:
+                    shift = src_off[f] - roff
+                    sign = signs[k]
+                    for i in rows:
+                        key = (i, i + shift)
+                        v = get(key, 0) + sign
+                        if v:
+                            entries[key] = v
+                        else:
+                            del entries[key]
+        mat = IntMatrix(dst_off[-1], src_off[-1], entries)
+        hom = AbHom(source, target, mat)
         self._diffs[degree] = hom
         return hom
 
@@ -306,14 +282,14 @@ class BarComplex(_CochainComplex):
         return direct_sum_groups([self.module.carrier] * blocks)
 
     def differential(self, degree: int) -> AbHom:
+        """d^degree.  Tuples are lexicographic, so the one at index r has
+        the base-|G| digits c and each face's index is read off them."""
         got = self._diffs.get(degree)
         if got is not None:
             return got
-        g = self.group
-        k = self.gens
-        src = self.tuples(degree)
-        dst = self.tuples(degree + 1)
-        src_index = {c: i for i, c in enumerate(src)}
+        g, k, n1, q = self.group, self.gens, degree + 1, self.group.order
+        pw = [q ** e for e in range(n1 + 1)]
+        dst = self.tuples(n1)
         entries: dict[tuple[int, int], int] = {}
 
         def add(i, j, v):
@@ -326,20 +302,22 @@ class BarComplex(_CochainComplex):
 
         for r, c in enumerate(dst):
             roff = r * k
-            coff = src_index[c[1:]] * k
+            coff = (r - c[0] * pw[degree]) * k
             for (i, j), v in self.module.act(c[0]).entries.items():
                 add(roff + i, coff + j, v)
-            for i in range(1, degree + 1):
-                fc = c[:i - 1] + (g.mul(c[i - 1], c[i]),) + c[i + 1:]
+            for i in range(1, n1):
+                low = pw[n1 - 1 - i]
+                face = ((r // pw[n1 - i + 1] * q + g.mul(c[i - 1], c[i])) * low
+                        + r % low)
                 sign = -1 if i % 2 else 1
-                coff = src_index[fc] * k
+                coff = face * k
                 for t in range(k):
                     add(roff + t, coff + t, sign)
-            sign = -1 if (degree + 1) % 2 else 1
-            coff = src_index[c[:-1]] * k
+            sign = -1 if n1 % 2 else 1
+            coff = r // q * k
             for t in range(k):
                 add(roff + t, coff + t, sign)
-        mat = IntMatrix(len(dst) * k, len(src) * k, entries)
+        mat = IntMatrix(len(dst) * k, pw[degree] * k, entries)
         hom = AbHom(self.cochain_group(degree), self.cochain_group(degree + 1), mat)
         self._diffs[degree] = hom
         return hom

@@ -427,8 +427,15 @@ def _add_common(parser, suppress: bool):
                         help="write the JSON document here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are JSON errors with exit 2."""
+
+    def error(self, message):
+        _fail("validation", message, 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitcoh",
         description="Exact cohomology of finite groups over orbit categories")
     _add_common(parser, suppress=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from math import gcd
+from operator import itemgetter
 
 from .errors import ChainMismatchError, CompositionNonzeroError
 
@@ -174,6 +175,37 @@ class IntMatrix:
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+
+
+def product_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a @ b == 0, exactly, from one packed product a (b w).
+
+    2^s > max|a| * (most nonzeros in a row of a) * max|b| >= every |a @ b|
+    entry, so with w_j = 2^(s*j) row i of a @ b is the base-2^s digit
+    vector of u_i = (a (b w))_i: if c, at j, is the lowest nonzero digit,
+    u_i = 2^(s*j) (c + 2^s y) is not 0, as 2^s does not divide c.  Only
+    nonzero partial sums of the u_i are kept.
+
+    Each entry of a costs a multiply-add of s * b.cols bits here, and steps
+    over the nonzeros of a row of b in a @ b; past 2048 bits per such
+    nonzero (the two break even near 3000 on CPython 3.11) a @ b is formed
+    instead."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    most = max(Counter(map(itemgetter(0), a.entries)).values(), default=0)
+    s = (most * max(map(abs, a.entries.values()), default=0)
+         * max(map(abs, b.entries.values()), default=0)).bit_length()
+    if s * b.cols * b.rows > 2048 * len(b.entries):
+        return (a @ b).is_zero()
+    packed = [0] * b.rows
+    for (k, j), v in b.entries.items():
+        packed[k] += v << (s * j)
+    u: dict[int, int] = {}
+    for (i, k), v in a.entries.items():
+        x = u.pop(i, 0) + v * packed[k]
+        if x:
+            u[i] = x
+    return not u
 
 
 def block_diag(mats) -> IntMatrix:
@@ -872,7 +904,7 @@ def _torsion_chain(orders: list[int]) -> list[int]:
     return chain[::-1]
 
 
-def subquotient(d_in: AbHom, d_out: AbHom, comp: IntMatrix | None = None,
+def subquotient(d_in: AbHom, d_out: AbHom, exact: bool | None = None,
                 factors=None) -> FgAbGroup:
     """Homology at the middle of d_in, d_out, in canonical normal form.
 
@@ -886,17 +918,17 @@ def subquotient(d_in: AbHom, d_out: AbHom, comp: IntMatrix | None = None,
     complex (other relations, or a composite that vanishes only modulo the
     relations) takes the presentation route, SubquotientPresentation.
 
-    comp is d_out.matrix @ d_in.matrix when the caller has formed it.
-    factors, when given, is called on the invariant-factor route only and
-    returns the invariant factors of d_in and d_out.
+    exact is product_vanishes(d_out.matrix, d_in.matrix) if known (the
+    product is formed only when nonzero); factors, when given, is called on
+    the invariant-factor route only and returns d_in's and d_out's factors.
     """
     if not d_in.target.same_presentation(d_out.source):
         raise ChainMismatchError("subquotient: d_in.target differs from d_out.source")
     middle = d_out.source
-    if comp is None:
-        comp = d_out.matrix @ d_in.matrix
-    exact = comp.is_zero()
-    if not exact and not lattice_contains(d_out.target.relations, comp):
+    if exact is None:
+        exact = product_vanishes(d_out.matrix, d_in.matrix)
+    if not exact and not lattice_contains(d_out.target.relations,
+                                          d_out.matrix @ d_in.matrix):
         raise CompositionNonzeroError("d_out . d_in is not zero")
     m = _uniform_modulus((middle, d_out.target)) if exact else None
     if m is None:

@@ -16,11 +16,22 @@ are nondegenerate, made of non-identity morphisms only, which is the
 normalized bar construction.  The unreduced category,
 OrbitCategory(family, reduced=False), keeps every member and every
 morphism, so its chains are the full nerve.
+
+Cochains read chains as integer face tables, each built from the one below.
+The order is prefix-major: the extensions of a chain p form one run from
+child[p], and a chain's last face is its parent.  For c = p + (m) of length
+L + 1, face k < L is child[face_k(p)] + pos[m] (m's place among the
+morphisms leaving its source); face L, composing p's last morphism a with m,
+is child[parent(p)] + pos[a.m], or -1 when a.m is an identity left out of
+chains; face L + 1 is p; and -1 stays -1.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate, chain, cycle, repeat
+from math import inf
 
 from .errors import BadParametersError, NotComposableError, SizeLimitError
 from .groups import Family, FiniteGroup, Subgroup
@@ -96,6 +107,13 @@ def skeleton(family: Family) -> tuple[Subgroup, ...]:
     return tuple(reps)
 
 
+# The chains of one length in lexicographic order: start objects, first and
+# last morphisms (None at length 0), child (each chain's first extension,
+# then the next length's count), and faces, flat and column-major:
+# faces[k * len(start) + c] is chain c's k-th face in the length below.
+ChainTable = namedtuple("ChainTable", "length start first last faces child")
+
+
 class OrbitCategory:
     """Morphism tables for one (group, family) pair.
 
@@ -132,6 +150,10 @@ class OrbitCategory:
                         self.out[si].append(mid)
         self._comp: dict[tuple[int, int], int] = {}
         self._counts: list[list[int]] = [[1] * len(self.subgroups)]
+        self._pos = {m: k for o in self.out for k, m in enumerate(o)}
+        self._comp_pos: dict[int, list[int]] = {}
+        self._base = self._table(0, list(range(len(self.subgroups))), None, None, [])
+        self._top = [self._base]        # the last two tables built
 
     def morphism_id(self, m: OrbitMorphism) -> int:
         si = self.sub_index[m.source.members]
@@ -167,27 +189,61 @@ class OrbitCategory:
         return sum(counts[length]) if length < len(counts) else 0
 
     def chain_tuples(self, length: int, cap: int = DEFAULT_CHAIN_CAP) -> list[tuple]:
-        """All (start, mid_1, ..., mid_length) in lexicographic order."""
+        """All (start, mid_1, ..., mid_length) in lexicographic order: each
+        chain is its parent (last face) and last morphism in the tables.
+        The cap bounds the given length only, as in chains."""
+        if length < 0:
+            raise BadParametersError("chain length must be >= 0")
+        for n in range(length + 1):
+            t = self.chains(n, cap if n == length else inf)
+            out = ([(s,) for s in t.start] if n == 0 else
+                   [out[p] + (m,) for p, m in zip(t.faces[n * len(t.start):], t.last)])
+        return out
+
+    def chains(self, length: int, cap: int = DEFAULT_CHAIN_CAP) -> ChainTable:
+        """The face table of one length, within the cap (shorter tables are
+        built on the way, uncapped); only the last two tables built are
+        kept, to build on (else from length 0)."""
         total = self.chain_count(length)
         if total > cap:
             raise SizeLimitError(total, cap)
-        if length == 0:
-            return [(si,) for si in range(len(self.subgroups))]
-        out = []
-        # depth first with an explicit stack, so the depth is not bounded by
-        # the interpreter's recursion limit: stack[k] runs over the morphisms
-        # that may follow prefix[k], the last entry of the chain so far
-        for si in range(len(self.subgroups)):
-            prefix = [si]
-            stack = [iter(self.out[si])]
-            while stack:
-                mid = next(stack[-1], None)
-                if mid is None:
-                    stack.pop()
-                    prefix.pop()
-                elif len(stack) < length:
-                    prefix.append(mid)
-                    stack.append(iter(self.out[self.m_tgt[mid]]))
-                else:
-                    out.append((*prefix, mid))
-        return out
+        top = self._top if length >= self._top[0].length else [self._base]
+        while top[-1].length < length:
+            top = self._top = [top[-1], self._extend(top[-1], top[0])]
+        return top[length - top[0].length]
+
+    def _table(self, length, start, first, last, faces) -> ChainTable:
+        ends = start if last is None else map(self.m_tgt.__getitem__, last)
+        child = list(accumulate((len(self.out[e]) for e in ends), initial=0))
+        return ChainTable(length, start, first, last, faces, child)
+
+    def _composite_pos(self, a: int) -> list[int]:
+        """pos[a.m] for each m leaving a's target, -1 for an identity a.m."""
+        got = self._comp_pos.get(a)
+        if got is None:
+            got = self._comp_pos[a] = [
+                self._pos[c] if self.in_chains[c] else -1
+                for c in (self.compose_ids(a, m) for m in self.out[self.m_tgt[a]])]
+        return got
+
+    def _extend(self, prev: ChainTable, below: ChainTable) -> ChainTable:
+        """The table one length above prev (see the module docstring)."""
+        n, size = prev.length, len(prev.start)
+        ends = prev.start if n == 0 else list(map(self.m_tgt.__getitem__, prev.last))
+        counts = [len(self.out[e]) for e in ends]
+
+        def runs(values):
+            return list(chain.from_iterable(map(repeat, values, counts)))
+
+        last = list(chain.from_iterable(map(self.out.__getitem__, ends)))
+        if n == 0:
+            return self._table(1, runs(prev.start), last, last,
+                               [self.m_tgt[m] for m in last] + runs(prev.start))
+        child = below.child
+        faces = list(chain.from_iterable(
+            range(child[f], child[f] + k) if f >= 0 else repeat(-1, k)
+            for f, k in zip(prev.faces[:n * size], cycle(counts))))
+        for a, f in zip(prev.last, prev.faces[n * size:]):
+            faces += [child[f] + q if q >= 0 else -1 for q in self._composite_pos(a)]
+        faces += runs(range(size))
+        return self._table(n + 1, runs(prev.start), runs(prev.first), last, faces)

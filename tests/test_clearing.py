@@ -75,7 +75,7 @@ def cleared_records(cx, top, fits):
             break
         cx.cohomology(n)
         below = cx._eliminated.get(n - 1)
-        cleared = below[1] if below and cx._composite(n).is_zero() else None
+        cleared = below[1] if below and cx._dd_vanishes(n) else None
         out.append((n, cx.differential(n).matrix, cleared, cx._eliminated[n]))
     return out
 

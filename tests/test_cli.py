@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -333,3 +334,43 @@ def test_threads_below_one_exits_2(capsys, threads):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "validation" and "--threads" in error["message"]
+
+
+def test_oracle_deep_degree_is_bounded(capsys):
+    # c1 has one bar tuple per degree, of length 30000 here; each face's
+    # index is read off its digits instead of slicing and hashing the tuple
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", "--group", "c1",
+                           "--module", "z-trivial", "--degrees", "30000")
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"degree": 30000, "rank": 0, "torsion": []}]
+    assert time.perf_counter() - start < 15
+
+
+COMPLETE = ["cohomology", "--group", "c2", "--family", "full",
+            "--module", "z-trivial", "--degrees", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["cohomology"],
+    ["cohomology", "--group", "c2"],
+    ["--bogus"],
+    COMPLETE + ["--bogus"],
+    ["galois", "--p", "x", "--n", "2"],
+    ["--threads", "x"] + COMPLETE,
+    COMPLETE + ["--threads", "x"],
+    ["no-such-command"],
+])
+def test_usage_errors_are_one_json_document(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cohomology", "--help"]])
+def test_help_still_prints_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: orbitcoh")

@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import orbitcoh
@@ -27,3 +29,20 @@ def test_benchmark_entry_points_resolve():
         if not callable(fn):
             missing.append(qualname)
     assert not missing
+
+
+def test_imports_are_relative_or_standard_library():
+    # the package keeps zero third-party dependencies
+    package = Path(orbitcoh.__file__).resolve().parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside

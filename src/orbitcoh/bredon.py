@@ -386,15 +386,10 @@ def restriction_kernel_intersection(module: GModule, family: Family,
         bar_h = BarComplex(msub, size_cap)
         pres_h = bar_h.cohomology_presentation(degree)
         res = _bar_restriction_matrix(bar_g, bar_h, embed, degree)
-        cols = {}
-        for kcol in range(pres_g.basis.cols):
-            vec = res @ IntMatrix(res.cols, 1, {
-                (i, 0): v for (i, j), v in pres_g.basis.entries.items() if j == kcol})
-            sol = _express_in_basis(pres_h, vec)
-            for i, v in sol.items():
-                cols[(i, kcol)] = v
-        induced = AbHom(pres_g.group, pres_h.group,
-                        IntMatrix(pres_h.group.ngens, pres_g.group.ngens, cols))
+        sol = solve_exact(pres_h.basis, res @ pres_g.basis)
+        if sol is None:
+            raise BadParametersError("restricted cocycle failed to be a cocycle")
+        induced = AbHom(pres_g.group, pres_h.group, sol)
         if not induced.well_defined():
             raise BadParametersError(
                 "induced restriction map failed to respect boundaries")
@@ -415,9 +410,3 @@ def restriction_kernel_intersection(module: GModule, family: Family,
     rank, torsion = kernel_group.normal_form
     return RestrictionIntersection(degree, rank, torsion, hypothesis)
 
-
-def _express_in_basis(pres: SubquotientPresentation, vec: IntMatrix) -> dict:
-    sol = solve_exact(pres.basis, vec)
-    if sol is None:
-        raise BadParametersError("restricted cocycle failed to be a cocycle")
-    return {i: v for (i, j), v in sol.entries.items()}

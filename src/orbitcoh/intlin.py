@@ -457,21 +457,40 @@ class ColumnReduction:
     its value.  After construction the retired pivot columns form a
     staircase (each has the unique nonzero entry among pivots at its pivot
     row, and zeros at all earlier pivot rows), and every non-retired column
-    has been reduced to zero.  That gives the kernel lattice, the rank, and
-    forced back-solves.
+    has been reduced to zero.  That gives the kernel lattice and forced
+    back-solves.
+
+    moduli maps rows r to m_r > 0 and stands for one more column m_r e_r
+    per row, never stored.  Until row r is processed its entries are kept
+    centered modulo m_r (adding multiples of m_r e_r).  At row r the Euclid
+    pivot p, with g at row r, and m_r e_r are replaced by s p + t m_r e_r
+    (s g + t m_r = g1 = gcd(g, m_r)), which retires and is dropped, and by
+    (m_r/g1) p - (g/g1) m_r e_r, that is p times m_r/g1 with row r cleared,
+    which stays active in p's place.  The 2x2 step has determinant -1, so
+    the kernel stays exact; only the kernel is kept, and solve_column is for
+    reductions without moduli.  V is tracked for the first tracked columns
+    (all by default); the others start from an empty transform, so kernel
+    vectors list coordinates among the tracked columns only.
     """
 
-    __slots__ = ("ncols", "work", "v", "pivots", "free")
+    __slots__ = ("ncols", "work", "v", "pivots", "free", "moduli")
 
-    def __init__(self, columns: list[dict], ncols=None):
+    def __init__(self, columns: list[dict], ncols=None, moduli=None,
+                 tracked=None):
         self.ncols = len(columns) if ncols is None else ncols
         self.work = [dict(c) for c in columns]
-        self.v = [{j: 1} for j in range(len(columns))]
+        if tracked is None:
+            tracked = len(columns)
+        self.v = [{j: 1} if j < tracked else {} for j in range(len(columns))]
+        self.moduli = moduli or {}
         self.pivots: list[tuple[int, int]] = []   # (row, col) in retirement order
         active = set(range(len(columns)))
         # at holds every row not yet processed; processed rows are zero in
         # every active column
         at = _row_index(self.work)
+        if self.moduli:
+            for j, c in enumerate(self.work):
+                self._reduce(j, list(c), at)
         for r in sorted(at):
             cand = sorted(at[r],
                           key=lambda j: (abs(self.work[j][r]), len(self.work[j]), j))
@@ -479,12 +498,46 @@ class ColumnReduction:
                 p = cand[0]
                 for j in cand[1:]:
                     self._eliminate(p, j, r, at)
-                for rr in self.work[p]:
-                    at[rr].discard(p)
-                self.pivots.append((r, p))
-                active.discard(p)
+                if r in self.moduli:
+                    self._fold(p, r, at)
+                else:
+                    for rr in self.work[p]:
+                        at[rr].discard(p)
+                    self.pivots.append((r, p))
+                    active.discard(p)
             del at[r]
         self.free = sorted(active)
+
+    def _reduce(self, j, rows, at):
+        """Center column j's entries at rows modulo their moduli, deleting
+        zeros from the column and from the row index at."""
+        col, mod = self.work[j], self.moduli
+        for rr in rows:
+            m = mod.get(rr)
+            if m is None:
+                continue
+            x = col.get(rr)
+            if x is None or -m < 2 * x <= m:
+                continue
+            x %= m
+            if 2 * x > m:
+                x -= m
+            if x:
+                col[rr] = x
+            else:
+                del col[rr]
+                at[rr].discard(j)
+
+    def _fold(self, p, r, at):
+        m = self.moduli[r]
+        col = self.work[p]
+        k = m // gcd(col.pop(r), m)
+        for rr in col:
+            col[rr] *= k
+        self._reduce(p, list(col), at)
+        vp = self.v[p]
+        for i in vp:
+            vp[i] *= k
 
     def _eliminate(self, p, j, r, at):
         work, v = self.work, self.v
@@ -492,6 +545,8 @@ class ColumnReduction:
             q = _centered_quotient(work[j][r], work[p][r])
             if q:
                 _column_update(work, at, v, j, p, q)
+                if self.moduli:
+                    self._reduce(j, work[p], at)
             if work[j].get(r):
                 work[p], work[j] = work[j], work[p]
                 v[p], v[j] = v[j], v[p]
@@ -502,10 +557,6 @@ class ColumnReduction:
                     else:
                         at[rr].discard(p)
                         at[rr].add(j)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def kernel_vectors(self) -> list[dict]:
         return [self.v[j] for j in self.free]
@@ -555,28 +606,51 @@ def solve_exact(a: IntMatrix, b: IntMatrix):
     return IntMatrix(a.cols, b.cols, entries)
 
 
+def _row_moduli(relations: IntMatrix) -> tuple[dict[int, int], list[dict]]:
+    """(moduli, explicit): each singleton column c e_r of relations folded
+    into moduli[r], the gcd of |c| over row r, and the other nonzero
+    columns as dicts.  Both span the lattice of relations."""
+    moduli: dict[int, int] = {}
+    explicit = []
+    for c in relations.columns_as_dicts():
+        if len(c) == 1:
+            (r, v), = c.items()
+            moduli[r] = gcd(moduli.get(r, 0), v)
+        elif c:
+            explicit.append(c)
+    return moduli, explicit
+
+
 def lattice_contains(lattice: IntMatrix, vec: IntMatrix) -> bool:
-    """Whether every column of vec lies in the column span of lattice over Z."""
-    return solve_exact(lattice, vec) is not None
+    """Whether every column of vec lies in the column span of lattice over Z.
+
+    A lattice of singleton columns is the sum of m_r Z e_r over its row
+    moduli, so membership is entrywise divisibility."""
+    moduli, explicit = _row_moduli(lattice)
+    if explicit:
+        return solve_exact(lattice, vec) is not None
+    return all(i in moduli and v % moduli[i] == 0
+               for (i, _), v in vec.entries.items())
 
 
 def preimage_generators(a: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
     """Generators of the lattice {x : A x lies in the target relation lattice}.
 
-    Columns of the result generate (not necessarily freely) the preimage.
+    Columns of the result generate (not necessarily freely) the preimage:
+    the kernel of [A | relations], read on A's coordinates.  Singleton
+    relation columns are row moduli of the reduction (ColumnReduction), and
+    only A's columns carry a transform.
     """
     if a.cols == 0:
         return IntMatrix(0, 0)
-    if target_relations.cols == 0:
-        return kernel_basis(a)
-    stacked = a.hstack(target_relations)
-    red = ColumnReduction(stacked.columns_as_dicts(), stacked.cols)
+    moduli, explicit = _row_moduli(target_relations)
+    red = ColumnReduction(a.columns_as_dicts() + explicit, moduli=moduli,
+                          tracked=a.cols)
     entries = {}
     k = 0
     for vec in red.kernel_vectors():
-        head = {i: v for i, v in vec.items() if i < a.cols}
-        if head:
-            for i, v in head.items():
+        if vec:
+            for i, v in vec.items():
                 entries[(i, k)] = v
             k += 1
     return IntMatrix(a.cols, k, entries)

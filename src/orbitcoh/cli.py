@@ -206,7 +206,9 @@ def load_module(source: str, group: FiniteGroup) -> GModule:
         f"{source!r} is neither a module file nor one of z-trivial, zN-trivial, z-sign")
 
 
-def parse_degrees(source: str) -> list[int]:
+def parse_degrees(source: str, cap: int) -> range:
+    """The degrees of '2' or '0..3'; a range of more than cap degrees is a
+    size-limit error, raised before any degree is computed."""
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", source)
     if not m:
         raise SchemaError("degrees must look like '2' or '0..3'")
@@ -214,7 +216,9 @@ def parse_degrees(source: str) -> list[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if hi < lo:
         raise SchemaError(f"degree range {source!r} is empty")
-    return list(range(lo, hi + 1))
+    if hi - lo + 1 > cap:
+        raise SizeLimitError(hi - lo + 1, cap)
+    return range(lo, hi + 1)
 
 
 def _emit(doc: dict, output: str | None):
@@ -245,7 +249,7 @@ def cmd_cohomology(args) -> int:
     group = load_group(args.group)
     family = load_family(args.family, group)
     module = load_module(args.module, group)
-    degrees = parse_degrees(args.degrees)
+    degrees = parse_degrees(args.degrees, args.size_cap)
     om = fixed_point_functor(module, family)
     cx = BredonComplex(family, om, size_cap=args.size_cap)
     results = []
@@ -254,26 +258,22 @@ def cmd_cohomology(args) -> int:
     for deg in degrees:
         res = cx.cohomology(deg)
         results.append(res.to_json())
-        if args.check:
-            if deg == 0:
-                direct = h0_limit(om).normal_form
-                ok = direct == res.normal_form()
-                checks.append({"degree": deg, "method": "limit",
-                               "expected": _nf_json(direct), "passed": ok})
-                failed |= not ok
-            elif deg == 1 and family.contains_trivial():
-                direct = f_derivation_quotient(module, family).normal_form
-                ok = direct == res.normal_form()
-                checks.append({"degree": deg, "method": "derivations",
-                               "expected": _nf_json(direct), "passed": ok})
-                failed |= not ok
-            elif deg == 2 and _is_trivial_z(module) \
-                    and family.is_conjugation_closed() and family.is_subgroup_closed():
-                direct = character_group(group.full_subgroup(), family).group.normal_form
-                ok = direct == res.normal_form()
-                checks.append({"degree": deg, "method": "characters",
-                               "expected": _nf_json(direct), "passed": ok})
-                failed |= not ok
+        if not args.check:
+            continue
+        if deg == 0:
+            method, direct = "limit", h0_limit(om)
+        elif deg == 1 and family.contains_trivial():
+            method, direct = "derivations", f_derivation_quotient(module, family)
+        elif deg == 2 and _is_trivial_z(module) \
+                and family.is_conjugation_closed() and family.is_subgroup_closed():
+            method = "characters"
+            direct = character_group(group.full_subgroup(), family).group
+        else:
+            continue
+        ok = direct.normal_form == res.normal_form()
+        checks.append({"degree": deg, "method": method,
+                       "expected": _nf_json(direct.normal_form), "passed": ok})
+        failed |= not ok
     doc = {"command": "cohomology", "group": group.name,
            "family": [list(s.members) for s in family],
            "results": results}
@@ -286,7 +286,7 @@ def cmd_cohomology(args) -> int:
 def cmd_oracle(args) -> int:
     group = load_group(args.group)
     module = load_module(args.module, group)
-    degrees = parse_degrees(args.degrees)
+    degrees = parse_degrees(args.degrees, args.size_cap)
     bar = BarComplex(module, size_cap=args.size_cap)
     results = [bar.cohomology(deg).to_json() for deg in degrees]
     _emit({"command": "oracle", "group": group.name, "results": results},
@@ -441,50 +441,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(*a, **kw):
-        p = sub.add_parser(*a, **kw)
+    def add_parser(name, help, *required):
+        """A subcommand with the common flags, then its required string flags."""
+        p = sub.add_parser(name, help=help)
         _add_common(p, suppress=True)
+        for flag in required:
+            p.add_argument(flag, required=True)
         return p
 
-    p = add_parser("cohomology", help="orbit-category cohomology of a module")
-    p.add_argument("--group", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("--degrees", required=True)
+    p = add_parser("cohomology", "orbit-category cohomology of a module",
+                   "--group", "--family", "--module", "--degrees")
     p.add_argument("--check", action="store_true",
                    help="cross-validate against the interpretation layers")
     p.set_defaults(fn=cmd_cohomology)
 
-    p = add_parser("oracle", help="ordinary group cohomology (bar complex)")
-    p.add_argument("--group", required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("--degrees", required=True)
+    p = add_parser("oracle", "ordinary group cohomology (bar complex)",
+                   "--group", "--module", "--degrees")
     p.set_defaults(fn=cmd_oracle)
 
-    p = add_parser("structures", help="classify subgroup-lift structures")
-    p.add_argument("--group", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--module", required=True)
+    p = add_parser("structures", "classify subgroup-lift structures",
+                   "--group", "--family", "--module")
     p.add_argument("--check", action="store_true")
     p.add_argument("--witnesses", action="store_true",
                    help="include lift witnesses in the report")
     p.set_defaults(fn=cmd_structures)
 
-    p = add_parser("derivations", help="derivation quotient and splittings")
-    p.add_argument("--group", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--module", required=True)
+    p = add_parser("derivations", "derivation quotient and splittings",
+                   "--group", "--family", "--module")
     p.add_argument("--check", action="store_true")
     p.set_defaults(fn=cmd_derivations)
 
-    p = add_parser("characters", help="character group of a family")
-    p.add_argument("--group", required=True)
-    p.add_argument("--family", required=True)
+    p = add_parser("characters", "character group of a family",
+                   "--group", "--family")
     p.add_argument("--subgroup", default=None,
                    help="comma-separated member indices (default: whole group)")
     p.set_defaults(fn=cmd_characters)
 
-    p = add_parser("galois", help="finite-field unit-module cohomology")
+    p = add_parser("galois", "finite-field unit-module cohomology")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
@@ -492,14 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.set_defaults(fn=cmd_galois)
 
-    p = add_parser("family-close", help="close a family under the given ops")
-    p.add_argument("--group", required=True)
-    p.add_argument("--family", required=True)
+    p = add_parser("family-close", "close a family under the given ops",
+                   "--group", "--family")
     p.add_argument("--conjugation", action="store_true")
     p.add_argument("--subgroups", action="store_true")
     p.set_defaults(fn=cmd_family_close)
 
-    p = add_parser("check", help="run a built-in verification suite")
+    p = add_parser("check", "run a built-in verification suite")
     p.add_argument("suite", help=f"one of {', '.join(available_suites())}")
     p.set_defaults(fn=cmd_check)
     return parser

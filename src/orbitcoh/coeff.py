@@ -21,13 +21,7 @@ from .intlin import (
     quotient_presentation,
     solve_exact,
 )
-from .orbitcat import (
-    OrbitMorphism,
-    canonical_rep,
-    compose,
-    identity_morphism,
-    morphisms,
-)
+from .orbitcat import OrbitCategory, OrbitMorphism, canonical_rep
 
 
 class GModule:
@@ -172,58 +166,51 @@ def invariants(module: GModule, sub: Subgroup) -> InvariantSubgroup:
 class OrbitModule:
     """Contravariant functor from an orbit category to abelian groups.
 
-    values maps subgroup member-tuples to presented groups; maps sends each
-    orbit morphism (source members, target members, rep) to the matrix of
-    the induced map value(target) -> value(source).
+    cat is the unreduced OrbitCategory of the family: values[i] is the
+    presented group at cat.subgroups[i], and maps[k] is the matrix of the
+    map value(target) -> value(source) induced by the morphism cat.morphs[k].
     """
 
-    def __init__(self, family: Family, values: dict, maps: dict,
+    def __init__(self, cat: OrbitCategory, values, maps,
                  source_gmodule: GModule | None = None, validate: bool = True):
-        self.family = family
-        self.values = dict(values)
-        self.maps = dict(maps)
+        self.cat = cat
+        self.family = cat.family
+        self.values = list(values)
+        self.maps = list(maps)
         self.source_gmodule = source_gmodule
         if validate:
             self.validate()
 
     def value(self, sub: Subgroup) -> FgAbGroup:
-        return self.values[sub.members]
+        return self.values[self.cat.sub_index[sub.members]]
 
     def map_matrix(self, m: OrbitMorphism) -> IntMatrix:
-        return self.maps[(m.source.members, m.target.members, m.rep)]
+        return self.maps[self.cat.morphism_id(m)]
 
     def map_hom(self, m: OrbitMorphism) -> AbHom:
         return AbHom(self.value(m.target), self.value(m.source),
                      self.map_matrix(m))
 
     def validate(self):
-        for s in self.family:
-            if s.members not in self.values:
-                raise FunctorialityError(f"missing value at {s.members}")
-        all_morphs = {}
-        for s in self.family:
-            for t in self.family:
-                for m in morphisms(s, t):
-                    key = (m.source.members, m.target.members, m.rep)
-                    if key not in self.maps:
-                        raise FunctorialityError(f"missing map for {key}")
-                    hom = self.map_hom(m)
-                    if not hom.well_defined():
-                        raise FunctorialityError(f"map at {key} not well defined")
-                    all_morphs[key] = m
-            ident = identity_morphism(s)
-            if not self.map_hom(ident).equal_hom(AbHom.identity(self.value(s))):
-                raise FunctorialityError(f"identity at {s.members} is not identity")
-        for m1 in all_morphs.values():
-            for m2 in all_morphs.values():
-                if m1.target.members != m2.source.members:
-                    continue
-                comp = compose(m1, m2)
-                # contravariance: value(comp) = value(m1) o value(m2)
-                lhs = self.map_hom(m1).compose(self.map_hom(m2))
-                if not lhs.equal_hom(self.map_hom(comp)):
+        cat = self.cat
+        if len(self.values) != len(cat.subgroups) \
+                or len(self.maps) != len(cat.morphs):
+            raise FunctorialityError(
+                "need one value per object and one map per morphism")
+        homs = [AbHom(self.values[t], self.values[s], mat)
+                for mat, s, t in zip(self.maps, cat.m_src, cat.m_tgt)]
+        for m, hom in zip(cat.morphs, homs):
+            if not hom.well_defined():
+                raise FunctorialityError(f"map at {m} not well defined")
+            if m.is_identity() and not hom.equal_hom(AbHom.identity(hom.target)):
+                raise FunctorialityError(
+                    f"identity at {m.source.members} is not identity")
+        for i, hom in enumerate(homs):
+            for j in cat.out[cat.m_tgt[i]]:
+                # contravariance: value(i then j) = value(i) o value(j)
+                if not hom.compose(homs[j]).equal_hom(homs[cat.compose_ids(i, j)]):
                     raise FunctorialityError(
-                        f"functoriality fails on {m1} then {m2}")
+                        f"functoriality fails on {cat.morphs[i]} then {cat.morphs[j]}")
 
 
 def fixed_point_functor(module: GModule, family: Family) -> OrbitModule:
@@ -234,43 +221,27 @@ def fixed_point_functor(module: GModule, family: Family) -> OrbitModule:
     """
     if family.parent is not module.group:
         raise BadParametersError("family belongs to a different group")
-    carrier = module.carrier
-    inv: dict[tuple, InvariantSubgroup] = {}
-    nf: dict[tuple, NormalFormMap] = {}
-    values = {}
-    for s in family:
-        iv = invariants(module, s)
-        inv[s.members] = iv
-        nfm = NormalFormMap(iv.presentation)
-        nf[s.members] = nfm
-        values[s.members] = nfm.canonical
-    maps = {}
-    for s in family:
-        for t in family:
-            for m in morphisms(s, t):
-                # solve L_s * T = act(rep) * L_t modulo ambient relations
-                lhs = inv[s.members].generators.hstack(carrier.relations)
-                rhs = module.act(m.rep) @ inv[t.members].generators
-                sol = solve_exact(lhs, rhs)
-                if sol is None:
-                    raise FunctorialityError(
-                        "image of a fixed vector failed to be fixed")
-                t_mat = sol.take_rows(inv[s.members].generators.cols)
-                maps[(s.members, t.members, m.rep)] = (
-                    nf[s.members].to_nf @ t_mat @ nf[t.members].from_nf)
-    return OrbitModule(family, values, maps, source_gmodule=module)
+    cat = OrbitCategory(family, reduced=False)
+    relations = module.carrier.relations
+    inv = [invariants(module, s) for s in cat.subgroups]
+    gens = [iv.generators for iv in inv]
+    nf = [NormalFormMap(iv.presentation) for iv in inv]
+    maps = []
+    for m, s, t in zip(cat.morphs, cat.m_src, cat.m_tgt):
+        # solve L_s * T = act(rep) * L_t modulo ambient relations
+        sol = solve_exact(gens[s].hstack(relations), module.act(m.rep) @ gens[t])
+        if sol is None:
+            raise FunctorialityError("image of a fixed vector failed to be fixed")
+        maps.append(nf[s].to_nf @ sol.take_rows(gens[s].cols) @ nf[t].from_nf)
+    return OrbitModule(cat, [n.canonical for n in nf], maps, source_gmodule=module)
 
 
 def constant_orbit_module(family: Family, carrier: FgAbGroup) -> OrbitModule:
     """All values equal, all induced maps the identity."""
-    values = {s.members: carrier for s in family}
-    ident = IntMatrix.identity(carrier.ngens)
-    maps = {}
-    for s in family:
-        for t in family:
-            for m in morphisms(s, t):
-                maps[(s.members, t.members, m.rep)] = ident
-    return OrbitModule(family, values, maps, validate=False)
+    cat = OrbitCategory(family, reduced=False)
+    return OrbitModule(cat, [carrier] * len(cat.subgroups),
+                       [IntMatrix.identity(carrier.ngens)] * len(cat.morphs),
+                       validate=False)
 
 
 def restrict_module(module: OrbitModule, sub: Subgroup) -> OrbitModule:
@@ -299,22 +270,13 @@ def restrict_module(module: OrbitModule, sub: Subgroup) -> OrbitModule:
                              [src.actions[e] for e in embed], validate=False)
         return fixed_point_functor(restricted, sub_family)
 
-    ambient = {s.members for s in module.family}
-    values = {}
-    maps = {}
-    for j in sub_family:
-        parent_members = tuple(sorted(embed[i] for i in j.members))
-        if parent_members not in ambient:
-            raise BadParametersError(
-                "general restriction needs F n S inside the family")
-        values[j.members] = module.values[parent_members]
-    for j1 in sub_family:
-        for j2 in sub_family:
-            for m in morphisms(j1, j2):
-                p1 = tuple(sorted(embed[i] for i in j1.members))
-                p2 = tuple(sorted(embed[i] for i in j2.members))
-                target = Subgroup(g, p2)
-                big = OrbitMorphism(Subgroup(g, p1), target,
-                                    canonical_rep(g, embed[m.rep], target))
-                maps[(j1.members, j2.members, m.rep)] = module.map_matrix(big)
-    return OrbitModule(sub_family, values, maps)
+    cat = OrbitCategory(sub_family, reduced=False)
+    parents = [Subgroup(g, tuple(sorted(embed[i] for i in j.members)))
+               for j in cat.subgroups]
+    if any(p.members not in module.cat.sub_index for p in parents):
+        raise BadParametersError(
+            "general restriction needs F n S inside the family")
+    maps = [module.map_matrix(OrbitMorphism(
+                parents[s], parents[t], canonical_rep(g, embed[m.rep], parents[t])))
+            for m, s, t in zip(cat.morphs, cat.m_src, cat.m_tgt)]
+    return OrbitModule(cat, [module.value(p) for p in parents], maps)

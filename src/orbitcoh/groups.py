@@ -362,9 +362,6 @@ class Family:
         sets = set(self.member_sets())
         return all(t.members in sets for s in self.subgroups for t in s.subgroups())
 
-    def key(self):
-        return self.member_sets()
-
     def __repr__(self):
         return f"Family({[s.members for s in self.subgroups]})"
 
@@ -514,9 +511,6 @@ class GroupExtension:
             for m in image:
                 if self.total.conj(x, m) not in image:
                     raise BadParametersError("kernel image is not normal")
-
-    def fiber(self, g: int) -> list[int]:
-        return [x for x in range(self.total.order) if self.projection[x] == g]
 
 
 # Shipped catalog of small groups (deterministic constructions).

@@ -12,7 +12,7 @@ agreement between the two routes is what the test suites check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .coeff import GModule, OrbitModule
 from .errors import (
@@ -29,7 +29,6 @@ from .intlin import (
     preimage_generators,
     quotient_presentation,
 )
-from .orbitcat import morphisms
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -45,38 +44,29 @@ def _require_trivial(family: Family):
 
 def h0_limit(module: OrbitModule) -> FgAbGroup:
     """Families (m_H) compatible with every induced map, in normal form."""
-    family = module.family
-    subs = list(family)
-    offs = []
-    total = 0
-    for s in subs:
-        offs.append(total)
-        total += module.value(s).ngens
-    pos = {s.members: i for i, s in enumerate(subs)}
+    cat, values = module.cat, module.values
+    offs = list(accumulate((v.ngens for v in values), initial=0))
+    total = offs.pop()
 
     rows = 0
     entries = {}
     slack_blocks = []
-    for s in subs:
-        for t in subs:
-            for m in morphisms(s, t):
-                mat = module.map_matrix(m)
-                si, ti = pos[s.members], pos[t.members]
-                gens_s = module.value(s).ngens
-                for (i, j), v in mat.entries.items():
-                    entries[(rows + i, offs[ti] + j)] = v
-                for i in range(gens_s):
-                    key = (rows + i, offs[si] + i)
-                    cur = entries.get(key, 0) - 1
-                    if cur:
-                        entries[key] = cur
-                    elif key in entries:
-                        del entries[key]
-                slack_blocks.append(module.value(s).relations)
-                rows += gens_s
+    for mat, si, ti in zip(module.maps, cat.m_src, cat.m_tgt):
+        gens_s = values[si].ngens
+        for (i, j), v in mat.entries.items():
+            entries[(rows + i, offs[ti] + j)] = v
+        for i in range(gens_s):
+            key = (rows + i, offs[si] + i)
+            cur = entries.get(key, 0) - 1
+            if cur:
+                entries[key] = cur
+            elif key in entries:
+                del entries[key]
+        slack_blocks.append(values[si].relations)
+        rows += gens_s
     constraint = IntMatrix(rows, total, entries)
     lattice = preimage_generators(constraint, block_diag(slack_blocks))
-    rels = block_diag([module.value(s).relations for s in subs])
+    rels = block_diag([v.relations for v in values])
     group = quotient_presentation(lattice, rels)
     return FgAbGroup.from_invariants(*group.normal_form)
 
@@ -165,11 +155,10 @@ class _Memo(dict):
 class FiniteModule:
     """Element-level view of a finite G-module in normal form.
 
-    Elements are tuples of residues.  act, add, sub and neg read memo
+    Elements are tuples of residues.  The action and the group law are memo
     tables, act_table[g, v], add_table[a, b], sub_table[a, b] and
     neg_table[a], that compute each entry on first use; a table holds only
-    what was asked of this instance.  The search loops below index the
-    tables directly.
+    what was asked of this instance.
     """
 
     def __init__(self, module: GModule):
@@ -210,18 +199,6 @@ class FiniteModule:
 
     def elements(self):
         return [tuple(v) for v in product(*[range(d) for d in self.moduli])]
-
-    def act(self, g: int, vec):
-        return self.act_table[g, vec]
-
-    def add(self, a, b):
-        return self.add_table[a, b]
-
-    def sub(self, a, b):
-        return self.sub_table[a, b]
-
-    def neg(self, a):
-        return self.neg_table[a]
 
     def index(self, vec) -> int:
         out = 0
@@ -435,7 +412,7 @@ def _module_as_group(fm: FiniteModule) -> FiniteGroup:
     table = [[0] * fm.size for _ in range(fm.size)]
     for a in elems:
         for b in elems:
-            table[idx[a]][idx[b]] = idx[fm.add(a, b)]
+            table[idx[a]][idx[b]] = idx[fm.add_table[a, b]]
     return FiniteGroup(table, name="module", validate=False)
 
 

@@ -724,12 +724,6 @@ class FgAbGroup:
             n *= d
         return n
 
-    def exponent(self):
-        rank, tors = self.normal_form
-        if rank:
-            return None
-        return tors[-1] if tors else 1
-
     def same_presentation(self, other: FgAbGroup) -> bool:
         return self.ngens == other.ngens and self.relations == other.relations
 

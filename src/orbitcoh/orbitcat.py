@@ -66,10 +66,6 @@ def morphisms(source: Subgroup, target: Subgroup) -> list[OrbitMorphism]:
     return out
 
 
-def identity_morphism(sub: Subgroup) -> OrbitMorphism:
-    return OrbitMorphism(sub, sub, 0)
-
-
 def compose(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
     """The composite G/H -> G/L of f: G/H -> G/K then g: G/K -> G/L."""
     if f.target.members != g.source.members:
@@ -207,6 +203,9 @@ class OrbitCategory:
         total = self.chain_count(length)
         if total > cap:
             raise SizeLimitError(total, cap)
+        if total == 0:
+            # past a finite nerve: no table below needs building
+            return self._table(length, [], [], [], [])
         top = self._top if length >= self._top[0].length else [self._base]
         while top[-1].length < length:
             top = self._top = [top[-1], self._extend(top[-1], top[0])]

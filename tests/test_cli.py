@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +326,43 @@ def test_long_degree_range_of_an_empty_complex(capsys):
     assert all((r["rank"], r["torsion"]) == (0, []) for r in results[1:])
 
 
+@pytest.mark.parametrize("group, family", [
+    ("c1", "full"), ("s3", {"subgroups": [[0, 1, 2, 3, 4, 5]]})])
+def test_high_degree_past_a_finite_nerve_is_immediate(capsys, tmp_path,
+                                                      group, family):
+    # with the family {G} the reduced category has no non-identity
+    # morphism, so every chain group above degree 0 is empty and no table
+    # below the degree is built
+    if isinstance(family, dict):
+        family = write_json(tmp_path, "family.json", family)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "cohomology", "--group", group,
+                           "--family", family, "--module", "z-trivial",
+                           "--degrees", "1000000000")
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"degree": 1000000000, "rank": 0, "torsion": []}]
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("command", [
+    ["cohomology", "--family", "full"], ["oracle"]])
+def test_degree_range_beyond_the_size_cap_exits_3(capsys, command):
+    argv = command + ["--group", "c1", "--module", "z-trivial"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--degrees", "0..1000000000")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "size-limit",
+        "message": "enumeration needs 1000000001 items, cap is 200000"}
+    assert time.perf_counter() - start < 5
+    # the count of degrees is held against --size-cap itself
+    code, out, err = run_cli(capsys, "--size-cap", "5", *argv, "--degrees", "0..5")
+    assert code == 3 and json.loads(err)["error"]["type"] == "size-limit"
+    code, out, _ = run_cli(capsys, "--size-cap", "5", *argv, "--degrees", "0..4")
+    assert code == 0 and len(json.loads(out)["results"]) == 5
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(capsys, threads):
     code, out, err = run_cli(capsys, "--threads", threads,
@@ -374,3 +412,16 @@ def test_help_still_prints_usage(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out.startswith("usage: orbitcoh")
+
+
+HELP = json.loads((Path(__file__).parent / "pinned" / "help.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_is_byte_identical(capsys, monkeypatch, command):
+    # tests/pinned/help.json holds --help of the top level (key "") and of
+    # each subcommand at 80 columns, frozen from the parser as first written
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *([command] if command else []), "--help")
+    assert code == 0 and err == ""
+    assert out == HELP[command]

@@ -4,16 +4,32 @@ import pytest
 
 from orbitcoh.coeff import (
     GModule,
+    OrbitModule,
     constant_orbit_module,
     fixed_point_functor,
     invariants,
     restrict_module,
     sign_modules,
 )
-from orbitcoh.errors import BadParametersError
-from orbitcoh.groups import Family, FiniteGroup, builtin_group, full_family
-from orbitcoh.intlin import AbHom, FgAbGroup, IntMatrix, lattice_contains
-from orbitcoh.orbitcat import morphisms
+from orbitcoh.errors import BadParametersError, FunctorialityError
+from orbitcoh.groups import (
+    Family,
+    FiniteGroup,
+    builtin_group,
+    cyclic_family,
+    full_family,
+    groups_up_to_order,
+    trivial_family,
+)
+from orbitcoh.intlin import (
+    AbHom,
+    FgAbGroup,
+    IntMatrix,
+    NormalFormMap,
+    lattice_contains,
+    solve_exact,
+)
+from orbitcoh.orbitcat import OrbitCategory, morphisms
 
 
 def c2():
@@ -255,19 +271,97 @@ def test_restrict_generic_module_needs_intersections_in_family():
 
 
 def test_generic_orbit_module_from_tables_rejects_nonfunctorial():
-    from orbitcoh.coeff import OrbitModule
-    from orbitcoh.errors import FunctorialityError
-
     g = c2()
-    fam = full_family(g)
+    cat = OrbitCategory(full_family(g), reduced=False)
     z = FgAbGroup.free(1)
-    values = {s.members: z for s in fam}
-    maps = {}
+    values = [z] * len(cat.subgroups)
+    maps = [IntMatrix.identity(1)] * len(cat.morphs)
+    # break the identity law at the nonidentity endomorphism of G/e
+    triv = cat.subgroups[0]
+    maps[cat.morphism_id(morphisms(triv, triv)[1])] = IntMatrix.from_rows([[2]])
+    with pytest.raises(FunctorialityError):
+        OrbitModule(cat, values, maps)
+
+
+def _zmod(n):
+    return FgAbGroup(1, IntMatrix.from_rows([[n]]))
+
+
+def _table_modules(group):
+    out = [("Z", GModule.trivial(group, FgAbGroup.free(1))),
+           ("Z/2", GModule.trivial(group, _zmod(2))),
+           ("Z/4", GModule.trivial(group, _zmod(4)))]
+    out += [(f"sign{i}", m) for i, m in enumerate(sign_modules(group))]
+    return out
+
+
+TABLE_CASES = [(g, label, m, fam_name, fam)
+               for g in groups_up_to_order(8)
+               for label, m in _table_modules(g)
+               for fam_name, fam in (("trivial", trivial_family(g)),
+                                     ("cyclic", cyclic_family(g)),
+                                     ("full", full_family(g)))]
+
+
+@pytest.mark.parametrize(
+    "group, label, module, fam_name, fam", TABLE_CASES,
+    ids=[f"{c[0].name}-{c[1]}-{c[3]}" for c in TABLE_CASES])
+def test_fixed_point_tables_read_by_morphism(group, label, module, fam_name, fam):
+    # every value is M^H, and every map read through morphism ids is the one
+    # solved here from the G-module alone: the inclusion of value(s) into M
+    # composed with the map equals rep acting on the inclusion of value(t)
+    om = fixed_point_functor(module, fam)
+    relations = module.carrier.relations
+    incl = {}
+    for s in fam:
+        iv = invariants(module, s)
+        assert om.value(s).normal_form == iv.presentation.normal_form
+        nf = NormalFormMap(iv.presentation)
+        assert nf.canonical.same_presentation(om.value(s))
+        incl[s.members] = iv.generators @ nf.from_nf
     for s in fam:
         for t in fam:
             for m in morphisms(s, t):
-                maps[(s.members, t.members, m.rep)] = IntMatrix.identity(1)
-    # break the identity law at the nonidentity endomorphism of G/e
-    maps[((0,), (0,), 1)] = IntMatrix.from_rows([[2]])
+                inc_s = incl[s.members]
+                sol = solve_exact(inc_s.hstack(relations),
+                                  module.act(m.rep) @ incl[t.members])
+                solved = AbHom(om.value(t), om.value(s), sol.take_rows(inc_s.cols))
+                assert om.map_hom(m).equal_hom(solved), (s, t, m.rep)
+
+
+def _constant_tables(group, fam):
+    cat = OrbitCategory(fam, reduced=False)
+    z = FgAbGroup.free(1)
+    return cat, [z] * len(cat.subgroups), [IntMatrix.identity(1)] * len(cat.morphs)
+
+
+def test_validate_rejects_broken_composite_between_objects():
+    # e -> C2 -> C4 composes to the one morphism e -> C4; doubling its map
+    # keeps every map well defined and every identity intact
+    g = FiniteGroup.cyclic(4)
+    cat, values, maps = _constant_tables(g, full_family(g))
+    OrbitModule(cat, values, maps)
+    triv, full = g.trivial_subgroup(), g.full_subgroup()
+    (into,) = morphisms(triv, full)
+    maps[cat.morphism_id(into)] = IntMatrix.from_rows([[2]])
+    with pytest.raises(FunctorialityError, match="functoriality"):
+        OrbitModule(cat, values, maps)
+
+
+def test_validate_rejects_broken_identity():
+    # the zero maps on Z over C2's trivial family compose correctly, but the
+    # identity of G/e does not act as the identity
+    g = c2()
+    cat, values, maps = _constant_tables(g, trivial_family(g))
+    zero = [IntMatrix.from_rows([[0]])] * len(maps)
+    with pytest.raises(FunctorialityError, match="identity"):
+        OrbitModule(cat, values, zero)
+
+
+def test_validate_rejects_wrong_table_sizes():
+    g = c2()
+    cat, values, maps = _constant_tables(g, full_family(g))
     with pytest.raises(FunctorialityError):
-        OrbitModule(fam, values, maps)
+        OrbitModule(cat, values, maps[:-1])
+    with pytest.raises(FunctorialityError):
+        OrbitModule(cat, values + values[:1], maps)

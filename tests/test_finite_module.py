@@ -58,12 +58,12 @@ def test_tables_equal_direct_formulas(group, label, module):
     assert len(elements) == fm.size
     for g in range(group.order):
         for v in elements:
-            assert fm.act(g, v) == _ref_act(fm, g, v)
+            assert fm.act_table[g, v] == _ref_act(fm, g, v)
     for a in elements:
-        assert fm.neg(a) == _ref_neg(fm, a)
+        assert fm.neg_table[a] == _ref_neg(fm, a)
         for b in elements:
-            assert fm.add(a, b) == _ref_add(fm, a, b)
-            assert fm.sub(a, b) == _ref_sub(fm, a, b)
+            assert fm.add_table[a, b] == _ref_add(fm, a, b)
+            assert fm.sub_table[a, b] == _ref_sub(fm, a, b)
     # a second read comes from the table and is the same tuple
     assert fm.act_table[group.order - 1, elements[-1]] \
         == _ref_act(fm, group.order - 1, elements[-1])
@@ -75,7 +75,7 @@ def test_tables_equal_direct_formulas(group, label, module):
 def test_sign_action_is_not_trivial():
     group = next(g for g in groups_up_to_order(8) if g.name == "c2")
     fm = FiniteModule(GModule(group, _zmod(4), sign_modules(group)[0].actions))
-    assert fm.act(1, (1,)) == (3,)
+    assert fm.act_table[1, (1,)] == (3,)
 
 
 def test_fresh_tables_are_empty_and_not_shared():
@@ -86,10 +86,10 @@ def test_fresh_tables_are_empty_and_not_shared():
     for name in tables:
         assert len(getattr(first, name)) == 0
         assert getattr(first, name) is not getattr(second, name)
-    first.act(1, (2,))
-    first.add((1,), (2,))
-    first.sub((1,), (2,))
-    first.neg((1,))
+    first.act_table[1, (2,)]
+    first.add_table[(1,), (2,)]
+    first.sub_table[(1,), (2,)]
+    first.neg_table[(1,)]
     for name in tables:
         assert len(getattr(first, name)) == 1
         assert len(getattr(second, name)) == 0

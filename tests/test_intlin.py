@@ -147,7 +147,6 @@ def test_fgab_normal_form_basics():
     assert FgAbGroup(1, mat([[1]])).is_trivial()
     assert FgAbGroup.from_invariants(0, (2, 4)).order() == 8
     assert FgAbGroup.free(1).order() is None
-    assert FgAbGroup.from_invariants(0, (2, 6)).exponent() == 6
 
 
 def test_presentation_independence():

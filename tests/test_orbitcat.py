@@ -4,9 +4,9 @@ from orbitcoh.errors import BadParametersError, NotComposableError, SizeLimitErr
 from orbitcoh.groups import Family, FiniteGroup, builtin_group, full_family
 from orbitcoh.orbitcat import (
     OrbitCategory,
+    OrbitMorphism,
     compose,
     fixed_coset_count,
-    identity_morphism,
     morphisms,
 )
 
@@ -49,8 +49,8 @@ def test_identity_law_and_composition():
     for h in (triv, full):
         for k in (triv, full):
             for m in morphisms(h, k):
-                assert compose(identity_morphism(h), m) == m
-                assert compose(m, identity_morphism(k)) == m
+                assert compose(OrbitMorphism(h, h, 0), m) == m
+                assert compose(m, OrbitMorphism(k, k, 0)) == m
     # nonidentity endomorphism of G/{e} followed by the map to G/G
     sigma = morphisms(triv, triv)[1]
     into = morphisms(triv, full)[0]

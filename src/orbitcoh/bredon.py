@@ -6,17 +6,19 @@ object.  The differential alternates the face maps: the leading face is
 twisted by the module map of the first morphism, inner faces compose two
 adjacent morphisms, the last face drops the final morphism.
 
-By default the complex is the reduced one: chains run through one family
-member per conjugacy class inside the family (the skeleton chosen by
-orbitcat.OrbitCategory), and the cochains are normalized, i.e. they vanish
-on degenerate chains, those containing an identity morphism.  Such cochains
-are indexed by nondegenerate chains alone, so an inner face whose composite
-is an identity contributes nothing to the differential.  Cohomology is
-unchanged: the skeleton is an equivalent category, and the normalized
-complex is chain-homotopy equivalent to the full one.  The size cap counts
-reduced chains, and cocycle representatives are vectors over the reduced
-generators.  BredonComplex(..., reduced=False) builds the full complex over
-every member and every chain, kept as a reference to check against.
+For every module this package builds, the complex is the reduced one:
+chains run through one family member per conjugacy class inside the family
+(the skeleton chosen by orbitcat.OrbitCategory), and the cochains are
+normalized, i.e. they vanish on degenerate chains, those containing an
+identity morphism.  Such cochains are indexed by nondegenerate chains
+alone, so an inner face whose composite is an identity contributes nothing
+to the differential.  Cohomology is unchanged: the skeleton is an
+equivalent category, and the normalized complex is chain-homotopy
+equivalent to the full one.  The size cap counts reduced chains, and
+cocycle representatives are vectors over the reduced generators.  The
+complex reads its module's category: over a module on OrbitCategory(family,
+reduced=False), built in the tests, it is the full complex over every
+member and every chain, kept as a reference to check against.
 
 The inhomogeneous bar complex for ordinary group cohomology is implemented
 here as well, as a deliberately separate assembly: it is the independent
@@ -46,7 +48,7 @@ from .intlin import (
     stack_homs,
     subquotient,
 )
-from .orbitcat import DEFAULT_CHAIN_CAP, ChainTable, OrbitCategory
+from .orbitcat import DEFAULT_CHAIN_CAP, ChainTable
 
 DEFAULT_SIZE_CAP = DEFAULT_CHAIN_CAP
 
@@ -173,21 +175,22 @@ class BredonComplex(_CochainComplex):
     """Cochain complex of one (family, orbit module) pair.
 
     Chain blocks follow the deterministic lexicographic chain order, so the
-    assembled matrices are bit-stable across runs.  The complex is the
-    reduced (skeletal, normalized) one unless reduced=False.
+    assembled matrices are bit-stable across runs.  The chains are those of
+    the module's category: the reduced (skeletal, normalized) one for every
+    module this package builds.
     """
 
     def __init__(self, family: Family, module: OrbitModule,
-                 size_cap: int = DEFAULT_SIZE_CAP, reduced: bool = True):
+                 size_cap: int = DEFAULT_SIZE_CAP):
         if module.family.parent is not family.parent:
             raise BadParametersError("module and family disagree on the group")
+        if module.family.member_sets() != family.member_sets():
+            raise BadParametersError("module and family disagree on the members")
         self.family = family
         self.module = module
         self.size_cap = size_cap
-        self.cat = OrbitCategory(family, reduced)
-        self.value_groups = [module.value(s) for s in self.cat.subgroups]
-        self.block_size = [g.ngens for g in self.value_groups]
-        self.morph_mat = [module.map_matrix(m) for m in self.cat.morphs]
+        self.cat = module.cat
+        self.block_size = [g.ngens for g in module.values]
         self._blocks_at: dict[int, tuple] = {}
         super().__init__()
 
@@ -201,7 +204,7 @@ class BredonComplex(_CochainComplex):
         if got is None:
             starts = self.layout(degree).start
             got = self._blocks_at[degree] = (
-                direct_sum_groups(self.value_groups[s] for s in starts),
+                direct_sum_groups(self.module.values[s] for s in starts),
                 list(accumulate(map(self.block_size.__getitem__, starts), initial=0)))
         return got
 
@@ -221,11 +224,11 @@ class BredonComplex(_CochainComplex):
         n = len(dst.start)
         signs = [(-1) ** k for k in range(degree + 2)] if n else []
         entries: dict[tuple[int, int], int] = {}
-        get = entries.get
+        get, maps = entries.get, self.module.maps
         for r, (s, a, roff) in enumerate(zip(dst.start, dst.first, dst_off)):
             faces = dst.faces[r::n]
             coff = src_off[faces[0]]
-            for (i, j), v in self.morph_mat[a].entries.items():
+            for (i, j), v in maps[a].entries.items():
                 entries[(roff + i, coff + j)] = v
             rows = range(roff, roff + self.block_size[s])
             for k in range(1, degree + 2):

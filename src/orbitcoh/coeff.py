@@ -9,6 +9,8 @@ functor laws at construction time.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import BadParametersError, FunctorialityError
 from .groups import Family, FiniteGroup, Subgroup
 from .intlin import (
@@ -17,6 +19,7 @@ from .intlin import (
     IntMatrix,
     NormalFormMap,
     block_diag,
+    lattice_contains,
     preimage_generators,
     quotient_presentation,
     solve_exact,
@@ -166,7 +169,8 @@ def invariants(module: GModule, sub: Subgroup) -> InvariantSubgroup:
 class OrbitModule:
     """Contravariant functor from an orbit category to abelian groups.
 
-    cat is the unreduced OrbitCategory of the family: values[i] is the
+    cat is an OrbitCategory of the family, the reduced one (objects on the
+    skeleton) wherever this package builds a module: values[i] is the
     presented group at cat.subgroups[i], and maps[k] is the matrix of the
     map value(target) -> value(source) induced by the morphism cat.morphs[k].
     """
@@ -182,7 +186,11 @@ class OrbitModule:
             self.validate()
 
     def value(self, sub: Subgroup) -> FgAbGroup:
-        return self.values[self.cat.sub_index[sub.members]]
+        """The value at a family member: its object's, M^{xHx^-1} = M^H."""
+        got = self.cat.rep_of.get(sub.members)
+        if got is None or sub.parent is not self.cat.group:
+            raise BadParametersError(f"{sub.members} is not a family member")
+        return self.values[got[0]]
 
     def map_matrix(self, m: OrbitMorphism) -> IntMatrix:
         return self.maps[self.cat.morphism_id(m)]
@@ -192,53 +200,68 @@ class OrbitModule:
                      self.map_matrix(m))
 
     def validate(self):
-        cat = self.cat
-        if len(self.values) != len(cat.subgroups) \
-                or len(self.maps) != len(cat.morphs):
+        cat, values, maps = self.cat, self.values, self.maps
+        if len(values) != len(cat.subgroups) or len(maps) != len(cat.morphs):
             raise FunctorialityError(
                 "need one value per object and one map per morphism")
-        homs = [AbHom(self.values[t], self.values[s], mat)
-                for mat, s, t in zip(self.maps, cat.m_src, cat.m_tgt)]
-        for m, hom in zip(cat.morphs, homs):
+        for m, mat, s, t in zip(cat.morphs, maps, cat.m_src, cat.m_tgt):
+            if (mat.rows, mat.cols) != (values[s].ngens, values[t].ngens):
+                raise FunctorialityError(f"map at {m} has the wrong shape")
+            hom = AbHom(values[t], values[s], mat)
             if not hom.well_defined():
                 raise FunctorialityError(f"map at {m} not well defined")
-            if m.is_identity() and not hom.equal_hom(AbHom.identity(hom.target)):
+            if m.is_identity() and not hom.equal_hom(AbHom.identity(values[s])):
                 raise FunctorialityError(
                     f"identity at {m.source.members} is not identity")
-        for i, hom in enumerate(homs):
-            for j in cat.out[cat.m_tgt[i]]:
-                # contravariance: value(i then j) = value(i) o value(j)
-                if not hom.compose(homs[j]).equal_hom(homs[cat.compose_ids(i, j)]):
+        # contravariance: value(i then j) = value(i) o value(j), for all j
+        # leaving i's target in one product
+        after = [IntMatrix.hstack_all(v.ngens, [maps[j] for j in out])
+                 for v, out in zip(values, cat.out)]
+        for i, (mat, s, t) in enumerate(zip(maps, cat.m_src, cat.m_tgt)):
+            comp = [cat.compose_ids(i, j) for j in cat.out[t]]
+            lhs = mat @ after[t]
+            rhs = IntMatrix.hstack_all(mat.rows, [maps[k] for k in comp])
+            if lhs == rhs or lattice_contains(values[s].relations, lhs - rhs):
+                continue
+            for j, k in zip(cat.out[t], comp):
+                if not lattice_contains(values[s].relations,
+                                        mat @ maps[j] - maps[k]):
                     raise FunctorialityError(
-                        f"functoriality fails on {cat.morphs[i]} then {cat.morphs[j]}")
+                        f"functoriality fails on {cat.morphs[i]} then "
+                        f"{cat.morphs[j]} (composite {cat.morphs[k]})")
 
 
 def fixed_point_functor(module: GModule, family: Family) -> OrbitModule:
-    """H |-> M^H with the morphism x K acting by m |-> x.m.
+    """H |-> M^H with the morphism x K acting by m |-> x.m, on the skeleton.
 
     Values are stored in canonical normal form; the induced matrices are
-    transported through the normalization.
+    transported through the normalization.  L_s T = act(rep) L_t is solved
+    for all morphisms out of s on one reduction of [L_s | relations].
     """
     if family.parent is not module.group:
         raise BadParametersError("family belongs to a different group")
-    cat = OrbitCategory(family, reduced=False)
+    cat = OrbitCategory(family)
     relations = module.carrier.relations
     inv = [invariants(module, s) for s in cat.subgroups]
     gens = [iv.generators for iv in inv]
     nf = [NormalFormMap(iv.presentation) for iv in inv]
-    maps = []
-    for m, s, t in zip(cat.morphs, cat.m_src, cat.m_tgt):
-        # solve L_s * T = act(rep) * L_t modulo ambient relations
-        sol = solve_exact(gens[s].hstack(relations), module.act(m.rep) @ gens[t])
+    maps = [None] * len(cat.morphs)
+    for s, ids in groupby(range(len(cat.morphs)), cat.m_src.__getitem__):
+        ids = list(ids)
+        rhs = [module.act(cat.morphs[k].rep) @ gens[cat.m_tgt[k]] for k in ids]
+        sol = solve_exact(gens[s].hstack(relations),
+                          IntMatrix.hstack_all(module.carrier.ngens, rhs))
         if sol is None:
             raise FunctorialityError("image of a fixed vector failed to be fixed")
-        maps.append(nf[s].to_nf @ sol.take_rows(gens[s].cols) @ nf[t].from_nf)
+        for k, x in zip(ids, sol.split_cols([r.cols for r in rhs])):
+            maps[k] = (nf[s].to_nf @ x.take_rows(gens[s].cols)
+                       @ nf[cat.m_tgt[k]].from_nf)
     return OrbitModule(cat, [n.canonical for n in nf], maps, source_gmodule=module)
 
 
 def constant_orbit_module(family: Family, carrier: FgAbGroup) -> OrbitModule:
     """All values equal, all induced maps the identity."""
-    cat = OrbitCategory(family, reduced=False)
+    cat = OrbitCategory(family)
     return OrbitModule(cat, [carrier] * len(cat.subgroups),
                        [IntMatrix.identity(carrier.ngens)] * len(cat.morphs),
                        validate=False)
@@ -249,7 +272,9 @@ def restrict_module(module: OrbitModule, sub: Subgroup) -> OrbitModule:
 
     Fixed point functors restrict through their underlying G-module; a
     general orbit module restricts by evaluation, which requires every
-    intersection H n S to already belong to the ambient family.
+    intersection H n S to already belong to the ambient family.  Along the
+    isomorphisms G/P -> G/R (rep a, R = a^-1 P a the object of P), P takes
+    R's value and a morphism P -> P' with rep y becomes R -> R' by a^-1 y a'.
     """
     g = module.family.parent
     if sub.parent is not g:
@@ -270,13 +295,18 @@ def restrict_module(module: OrbitModule, sub: Subgroup) -> OrbitModule:
                              [src.actions[e] for e in embed], validate=False)
         return fixed_point_functor(restricted, sub_family)
 
-    cat = OrbitCategory(sub_family, reduced=False)
-    parents = [Subgroup(g, tuple(sorted(embed[i] for i in j.members)))
-               for j in cat.subgroups]
-    if any(p.members not in module.cat.sub_index for p in parents):
+    cat = OrbitCategory(sub_family)
+    big = module.cat
+    objs = [big.rep_of.get(tuple(sorted(embed[i] for i in j.members)))
+            for j in cat.subgroups]
+    if None in objs:
         raise BadParametersError(
             "general restriction needs F n S inside the family")
-    maps = [module.map_matrix(OrbitMorphism(
-                parents[s], parents[t], canonical_rep(g, embed[m.rep], parents[t])))
-            for m, s, t in zip(cat.morphs, cat.m_src, cat.m_tgt)]
-    return OrbitModule(cat, [module.value(p) for p in parents], maps)
+    maps = []
+    for m, s, t in zip(cat.morphs, cat.m_src, cat.m_tgt):
+        (rs, a_s), (rt, a_t) = objs[s], objs[t]
+        x = g.mul(g.mul(g.inverse[a_s], embed[m.rep]), a_t)
+        target = big.subgroups[rt]
+        maps.append(module.map_matrix(OrbitMorphism(
+            big.subgroups[rs], target, canonical_rep(g, x, target))))
+    return OrbitModule(cat, [module.values[r] for r, _ in objs], maps)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from itertools import accumulate
 from math import gcd
 from operator import itemgetter
 
@@ -147,12 +148,30 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, out)
 
     def hstack(self, other: IntMatrix) -> IntMatrix:
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        out = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            out[(i, j + self.cols)] = v
-        return IntMatrix(self.rows, self.cols + other.cols, out)
+        return IntMatrix.hstack_all(self.rows, (self, other))
+
+    @classmethod
+    def hstack_all(cls, rows: int, mats) -> IntMatrix:
+        """The matrices, each with the given number of rows, side by side."""
+        out, off = {}, 0
+        for m in mats:
+            if m.rows != rows:
+                raise ValueError("row mismatch in hstack")
+            for (i, j), v in m.entries.items():
+                out[(i, j + off)] = v
+            off += m.cols
+        return cls(rows, off, out)
+
+    def split_cols(self, widths) -> list[IntMatrix]:
+        """The blocks of hstack_all, given their widths, entry order kept."""
+        block = [(b, off) for b, (w, off) in
+                 enumerate(zip(widths, accumulate(widths, initial=0)))
+                 for _ in range(w)]
+        parts = [{} for _ in widths]
+        for (i, j), v in self.entries.items():
+            b, off = block[j]
+            parts[b][(i, j - off)] = v
+        return [IntMatrix(self.rows, w, p) for w, p in zip(widths, parts)]
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:

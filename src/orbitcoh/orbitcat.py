@@ -13,9 +13,11 @@ conjugacy class inside the family (the first in the family's sorted order
 among the members conjugate to it), since G/H and G/xHx^-1 are isomorphic
 and an equivalent category has the same functor cohomology; and its chains
 are nondegenerate, made of non-identity morphisms only, which is the
-normalized bar construction.  The unreduced category,
-OrbitCategory(family, reduced=False), keeps every member and every
-morphism, so its chains are the full nerve.
+normalized bar construction.  Orbit modules are built on the reduced
+category, and a complex reads its module's category.  The unreduced
+category, OrbitCategory(family, reduced=False), keeps every member and
+every morphism, so its chains are the full nerve; a module on it (built in
+the tests) gives the full reference complex.
 
 Cochains read chains as integer face tables, each built from the one below.
 The order is prefix-major: the extensions of a chain p form one run from
@@ -90,17 +92,23 @@ def fixed_coset_count(source: Subgroup, target: Subgroup) -> int:
     return count
 
 
-def skeleton(family: Family) -> tuple[Subgroup, ...]:
-    """One member per conjugacy class inside the family: the first in the
-    family's sorted order among the members conjugate to it."""
+def skeleton(family: Family, reduced: bool = True) -> tuple[tuple, dict]:
+    """(reps, rep_of): one member per conjugacy class inside the family, the
+    first in the family's sorted order among the members conjugate to it
+    (every member when not reduced); and for each member P, rep_of[P.members]
+    = (i, a) with a^-1 P a = reps[i], so G/P -> G/reps[i] by a is an iso."""
     g = family.parent
-    seen: set[tuple[int, ...]] = set()
-    reps = []
+    members = set(family.member_sets())
+    reps: list[Subgroup] = []
+    rep_of: dict[tuple[int, ...], tuple[int, int]] = {}
     for s in family.subgroups:
-        if s.members not in seen:
+        if s.members not in rep_of:
+            for x in range(g.order) if reduced else (0,):
+                c = s.conjugate_by(x).members      # x^-1 s x
+                if c in members and c not in rep_of:
+                    rep_of[c] = (len(reps), g.inverse[x])
             reps.append(s)
-            seen.update(s.conjugate_by(x).members for x in range(g.order))
-    return tuple(reps)
+    return tuple(reps), rep_of
 
 
 # The chains of one length in lexicographic order: start objects, first and
@@ -124,7 +132,7 @@ class OrbitCategory:
     def __init__(self, family: Family, reduced: bool = True):
         self.family = family
         self.group = family.parent
-        self.subgroups = skeleton(family) if reduced else family.subgroups
+        self.subgroups, self.rep_of = skeleton(family, reduced)
         self.sub_index = {s.members: i for i, s in enumerate(self.subgroups)}
         self.morphs: list[OrbitMorphism] = []
         self.out: list[list[int]] = [[] for _ in self.subgroups]
@@ -152,16 +160,23 @@ class OrbitCategory:
         self._top = [self._base]        # the last two tables built
 
     def morphism_id(self, m: OrbitMorphism) -> int:
-        si = self.sub_index[m.source.members]
-        ti = self.sub_index[m.target.members]
-        return self._morph_id[(si, ti, m.rep)]
+        mid = self._morph_id.get((self.sub_index.get(m.source.members),
+                                  self.sub_index.get(m.target.members), m.rep))
+        if mid is None or m.source.parent is not self.group:
+            raise BadParametersError(f"{m} is not a morphism of this category")
+        return mid
 
     def compose_ids(self, i: int, j: int) -> int:
+        """The id of compose(morphs[i], morphs[j]), read off the ids."""
         key = (i, j)
         got = self._comp.get(key)
         if got is None:
-            got = self.morphism_id(compose(self.morphs[i], self.morphs[j]))
-            self._comp[key] = got
+            if self.m_tgt[i] != self.m_src[j]:
+                raise NotComposableError(f"morphisms {i} and {j} do not compose")
+            t = self.m_tgt[j]
+            x = self.group.mul(self.morphs[i].rep, self.morphs[j].rep)
+            got = self._comp[key] = self._morph_id[
+                (self.m_src[i], t, canonical_rep(self.group, x, self.subgroups[t]))]
         return got
 
     def chain_count(self, length: int) -> int:

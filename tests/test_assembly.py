@@ -11,6 +11,7 @@ the tuple-slicing bar assembly (reference_bar_differential).
 """
 
 import pytest
+from functor_reference import unreduced_fixed_point_functor
 
 from orbitcoh.bredon import BarComplex, BredonComplex
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
@@ -249,10 +250,9 @@ def assembled_cases():
         for label, module in modules_for(group):
             for family_name, make in sorted(FAMILIES.items()):
                 family = make(group)
-                for reduced in (True, False):
-                    yield (f"{name} {family_name} {label} reduced={reduced}",
-                           BredonComplex(family, fixed_point_functor(module, family),
-                                         reduced=reduced))
+                for build in (fixed_point_functor, unreduced_fixed_point_functor):
+                    yield (f"{name} {family_name} {label} {build.__name__}",
+                           BredonComplex(family, build(module, family)))
 
 
 def test_assembly_matches_tuple_hash_reference():

@@ -1,4 +1,5 @@
 import pytest
+from functor_reference import unreduced_fixed_point_functor
 
 from orbitcoh.bredon import (
     BredonComplex,
@@ -97,7 +98,7 @@ def test_bredon_d0_shape_and_kernel_for_c2():
     from orbitcoh.intlin import kernel_basis
 
     # full reference: one row per chain of length 1, identities included
-    d0 = BredonComplex(fam, om, reduced=False).differential(0)
+    d0 = BredonComplex(fam, unreduced_fixed_point_functor(m, fam)).differential(0)
     assert d0.matrix.rows == 4 and d0.matrix.cols == 2
     assert kernel_basis(d0.matrix).cols == 1
     # reduced: the two non-identity morphisms C2/1 -> C2/1 and C2/1 -> C2/C2

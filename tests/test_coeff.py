@@ -1,7 +1,9 @@
 from itertools import product
 
 import pytest
+from functor_reference import unreduced_fixed_point_functor
 
+from orbitcoh.bredon import BredonComplex
 from orbitcoh.coeff import (
     GModule,
     OrbitModule,
@@ -29,7 +31,8 @@ from orbitcoh.intlin import (
     lattice_contains,
     solve_exact,
 )
-from orbitcoh.orbitcat import OrbitCategory, morphisms
+from orbitcoh.interp import h0_limit
+from orbitcoh.orbitcat import OrbitCategory, OrbitMorphism, morphisms
 
 
 def c2():
@@ -307,10 +310,13 @@ TABLE_CASES = [(g, label, m, fam_name, fam)
     "group, label, module, fam_name, fam", TABLE_CASES,
     ids=[f"{c[0].name}-{c[1]}-{c[3]}" for c in TABLE_CASES])
 def test_fixed_point_tables_read_by_morphism(group, label, module, fam_name, fam):
-    # every value is M^H, and every map read through morphism ids is the one
+    # every value is M^H (a member outside the skeleton reads its object's),
+    # and every map of the skeleton, read through morphism ids, is the one
     # solved here from the G-module alone: the inclusion of value(s) into M
-    # composed with the map equals rep acting on the inclusion of value(t)
+    # composed with the map equals rep acting on the inclusion of value(t);
+    # it is also the unreduced reference's map at the same morphism
     om = fixed_point_functor(module, fam)
+    ref = unreduced_fixed_point_functor(module, fam)
     relations = module.carrier.relations
     incl = {}
     for s in fam:
@@ -319,14 +325,36 @@ def test_fixed_point_tables_read_by_morphism(group, label, module, fam_name, fam
         nf = NormalFormMap(iv.presentation)
         assert nf.canonical.same_presentation(om.value(s))
         incl[s.members] = iv.generators @ nf.from_nf
-    for s in fam:
-        for t in fam:
-            for m in morphisms(s, t):
-                inc_s = incl[s.members]
-                sol = solve_exact(inc_s.hstack(relations),
-                                  module.act(m.rep) @ incl[t.members])
-                solved = AbHom(om.value(t), om.value(s), sol.take_rows(inc_s.cols))
-                assert om.map_hom(m).equal_hom(solved), (s, t, m.rep)
+    for m in om.cat.morphs:
+        s, t = m.source, m.target
+        inc_s = incl[s.members]
+        sol = solve_exact(inc_s.hstack(relations),
+                          module.act(m.rep) @ incl[t.members])
+        solved = AbHom(om.value(t), om.value(s), sol.take_rows(inc_s.cols))
+        assert om.map_hom(m).equal_hom(solved), (s, t, m.rep)
+        assert om.map_matrix(m) == ref.map_matrix(m), (s, t, m.rep)
+    for m in ref.cat.morphs:
+        if m.source.members not in om.cat.sub_index \
+                or m.target.members not in om.cat.sub_index:
+            with pytest.raises(BadParametersError):
+                om.map_matrix(m)
+
+
+@pytest.mark.parametrize(
+    "group, label, module, fam_name, fam", TABLE_CASES,
+    ids=[f"{c[0].name}-{c[1]}-{c[3]}" for c in TABLE_CASES])
+def test_skeleton_and_unreduced_functors_agree_on_h0_to_h2(
+        group, label, module, fam_name, fam):
+    # the skeleton is an equivalent full subcategory: the limit and the
+    # cohomology of the full nerve over the unreduced functor are the same
+    om = fixed_point_functor(module, fam)
+    ref = unreduced_fixed_point_functor(module, fam)
+    assert h0_limit(om).normal_form == h0_limit(ref).normal_form
+    reduced, full = BredonComplex(fam, om), BredonComplex(fam, ref)
+    assert reduced.cat is om.cat and full.cat is ref.cat
+    for n in range(3):
+        assert reduced.cohomology(n).normal_form() \
+            == full.cohomology(n).normal_form(), n
 
 
 def _constant_tables(group, fam):
@@ -365,3 +393,99 @@ def test_validate_rejects_wrong_table_sizes():
         OrbitModule(cat, values, maps[:-1])
     with pytest.raises(FunctorialityError):
         OrbitModule(cat, values + values[:1], maps)
+
+
+def test_validate_rejects_wrong_shape_as_functoriality_error():
+    # identity 2x2 maps on Z-valued objects: the shape is wrong before any
+    # map can be read as a homomorphism
+    g = c2()
+    z = FgAbGroup.free(1)
+    for reduced in (True, False):
+        cat = OrbitCategory(full_family(g), reduced=reduced)
+        with pytest.raises(FunctorialityError, match="wrong shape"):
+            OrbitModule(cat, [z, z], [IntMatrix.identity(2)] * len(cat.morphs))
+
+
+def test_validate_names_a_broken_torsion_composite():
+    # Z/4 on d4 over the cyclic family: every value is Z/4 and every map
+    # the identity; adding 1 (not a multiple of 4) to the map of one
+    # composite of two chain morphisms breaks functoriality only there
+    g = builtin_group("d4")
+    om = fixed_point_functor(GModule.trivial(g, _zmod(4)), cyclic_family(g))
+    cat = om.cat
+    assert all(v.normal_form == (0, (4,)) for v in om.values)
+    i = next(i for i in range(len(cat.morphs))
+             if cat.in_chains[i] and cat.out[cat.m_tgt[i]])
+    k = cat.compose_ids(i, cat.out[cat.m_tgt[i]][0])
+    maps = list(om.maps)
+    maps[k] = maps[k] + IntMatrix.identity(1)
+    with pytest.raises(FunctorialityError, match="functoriality") as err:
+        OrbitModule(cat, om.values, maps)
+    assert str(cat.morphs[k]) in str(err.value)
+
+
+def test_values_outside_the_skeleton_and_bad_lookups():
+    g = builtin_group("s3")
+    fam = full_family(g)
+    om = fixed_point_functor(sign_modules(g)[0], fam)
+    order2 = [s for s in fam if s.size == 2]
+    assert len(order2) == 3 and len(om.cat.subgroups) == 4
+    for s in order2:
+        iv = invariants(om.source_gmodule, s)
+        assert om.value(s) is om.value(order2[0])
+        assert om.value(s).normal_form == iv.presentation.normal_form
+    outside = morphisms(order2[1], g.full_subgroup())[0]
+    with pytest.raises(BadParametersError):
+        om.map_matrix(outside)
+    with pytest.raises(BadParametersError):
+        om.map_hom(outside)
+    with pytest.raises(BadParametersError):
+        om.map_matrix(OrbitMorphism(order2[0], order2[0], 5))
+    small = trivial_family(g)
+    om_small = fixed_point_functor(sign_modules(g)[0], small)
+    with pytest.raises(BadParametersError):
+        om_small.value(g.full_subgroup())
+    with pytest.raises(BadParametersError):
+        om.value(c2().full_subgroup())
+
+
+def test_bredon_complex_rejects_a_family_with_other_members():
+    g = builtin_group("s3")
+    om = fixed_point_functor(GModule.trivial(g, FgAbGroup.free(1)), full_family(g))
+    assert BredonComplex(full_family(g), om).cat is om.cat
+    with pytest.raises(BadParametersError, match="members"):
+        BredonComplex(cyclic_family(g), om)
+
+
+def _permutation_module(group):
+    n = group.order
+    return GModule(group, FgAbGroup.free(n), [
+        IntMatrix(n, n, {(group.mul(x, y), y): 1 for y in range(n)})
+        for x in range(n)])
+
+
+@pytest.mark.parametrize("name", ["s3", "d4"])
+def test_restrict_by_evaluation_transports_non_skeleton_intersections(name):
+    # a fixed point functor stripped of its G-module restricts by evaluation;
+    # intersections conjugate to, but other than, their skeleton object are
+    # transported along the conjugating isomorphism, so the result is a
+    # functor with the same limit and cohomology as the restricted G-module's
+    g = builtin_group(name)
+    fam = full_family(g)
+    transported = 0
+    for module in [_permutation_module(g)] + sign_modules(g):
+        om = fixed_point_functor(module, fam)
+        bare = OrbitModule(om.cat, om.values, om.maps)
+        for sub in g.all_subgroups():
+            direct = restrict_module(om, sub)
+            evaluated = restrict_module(bare, sub)
+            # the members of G that the restricted objects stand for
+            transported += sum(
+                tuple(sorted(sub.members[i] for i in j.members))
+                not in om.cat.sub_index for j in evaluated.cat.subgroups)
+            assert h0_limit(evaluated).normal_form == h0_limit(direct).normal_form
+            for n in range(3):
+                assert BredonComplex(evaluated.family, evaluated).cohomology(n) \
+                    .normal_form() == BredonComplex(direct.family, direct) \
+                    .cohomology(n).normal_form()
+    assert transported > 0

@@ -168,3 +168,25 @@ def test_reduced_category_is_skeletal_and_normalized():
     assert [cat.chain_count(n) for n in range(4)] == [2, 2, 2, 2]
     assert cat.chain_tuples(2) == sorted(cat.chain_tuples(2))
     assert len(cat.chain_tuples(3, cap=2)) == 2
+
+
+def test_every_member_has_an_object_and_a_conjugating_iso():
+    # rep_of[P] = (i, a): a^-1 P a is the object, and the morphism P -> R
+    # with rep a and the one R -> P with rep a^-1 compose to identities
+    for name in ("s3", "d4", "q8", "a4"):
+        g = builtin_group(name)
+        fam = full_family(g)
+        for reduced in (True, False):
+            cat = OrbitCategory(fam, reduced=reduced)
+            assert set(cat.rep_of) == set(fam.member_sets())
+            for p in fam:
+                i, a = cat.rep_of[p.members]
+                r = cat.subgroups[i]
+                assert p.conjugate_by(a).members == r.members
+                assert i == cat.sub_index.get(p.members, i)
+                there = OrbitMorphism(p, r, min(g.mul(a, k) for k in r.members))
+                back = OrbitMorphism(r, p, min(g.mul(g.inverse[a], k)
+                                               for k in p.members))
+                assert there in morphisms(p, r) and back in morphisms(r, p)
+                assert compose(there, back).is_identity()
+                assert compose(back, there).is_identity()

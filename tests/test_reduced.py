@@ -3,17 +3,17 @@
 Random shipped groups of order at most 8, random families (arbitrary, or
 closed under conjugation and subgroups) and random coefficient modules: the
 reduced complex must give the same cohomology as the full reference
-complex, satisfy d.d = 0, and hand out cocycle representatives whose
+complex (over the unreduced functor of functor_reference), satisfy d.d = 0, and hand out cocycle representatives whose
 classes are the canonical generators.
 """
 
 import pytest
+from functor_reference import unreduced_fixed_point_functor
 
 from orbitcoh.bredon import BredonComplex
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
 from orbitcoh.groups import Family, builtin_group, builtin_group_names, family_close
 from orbitcoh.intlin import FgAbGroup, IntMatrix, lattice_contains
-from orbitcoh.orbitcat import OrbitCategory
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -60,8 +60,8 @@ def test_reduced_complex_matches_full_reference(case):
     name, family, label, module = case
     om = fixed_point_functor(module, family)
     reduced = BredonComplex(family, om)
-    full = BredonComplex(family, om, reduced=False)
-    full_cat = OrbitCategory(family, reduced=False)
+    full = BredonComplex(family, unreduced_fixed_point_functor(module, family))
+    full_cat = full.cat
     top = max(n for n in range(TOP_DEGREE + 1)
               if n == 0 or full_cat.chain_count(n + 1) <= REFERENCE_CHAINS)
     where = (name, family.member_sets(), label)

@@ -243,7 +243,7 @@ class BredonComplex(_CochainComplex):
                             entries[key] = v
                         else:
                             del entries[key]
-        mat = IntMatrix(dst_off[-1], src_off[-1], entries)
+        mat = IntMatrix._own(dst_off[-1], src_off[-1], entries)
         hom = AbHom(source, target, mat)
         self._diffs[degree] = hom
         return hom
@@ -320,7 +320,7 @@ class BarComplex(_CochainComplex):
             coff = r // q * k
             for t in range(k):
                 add(roff + t, coff + t, sign)
-        mat = IntMatrix(len(dst) * k, pw[degree] * k, entries)
+        mat = IntMatrix._own(len(dst) * k, pw[degree] * k, entries)
         hom = AbHom(self.cochain_group(degree), self.cochain_group(degree + 1), mat)
         self._diffs[degree] = hom
         return hom

@@ -39,6 +39,9 @@ class IntMatrix:
 
     Entries are kept in a dict keyed by (row, col); zeros are never stored.
     Instances are treated as immutable: all operations return new matrices.
+    The constructor copies its entries, drops zeros and rejects a key outside
+    the shape; _own adopts a dict, unchecked, that no one else holds, with
+    every key in range and no zero value.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -56,6 +59,12 @@ class IntMatrix:
                 if v:
                     clean[(i, j)] = v
         self.entries = clean
+
+    @classmethod
+    def _own(cls, rows: int, cols: int, entries: dict) -> IntMatrix:
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, data) -> IntMatrix:
@@ -114,18 +123,18 @@ class IntMatrix:
         return len(self.entries)
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.entries.items()})
+        return IntMatrix._own(self.cols, self.rows,
+                              {(j, i): v for (i, j), v in self.entries.items()})
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols,
-                         {k: -v for k, v in self.entries.items()})
+        return IntMatrix._own(self.rows, self.cols,
+                              {k: -v for k, v in self.entries.items()})
 
     def __add__(self, other):
         self._same_shape(other)
         out = dict(self.entries)
         _axpy(out, other.entries, -1)
-        return IntMatrix(self.rows, self.cols, out)
+        return IntMatrix._own(self.rows, self.cols, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,7 +154,7 @@ class IntMatrix:
                     out[key] = s
                 else:
                     del out[key]
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._own(self.rows, other.cols, out)
 
     def hstack(self, other: IntMatrix) -> IntMatrix:
         return IntMatrix.hstack_all(self.rows, (self, other))
@@ -160,7 +169,7 @@ class IntMatrix:
             for (i, j), v in m.entries.items():
                 out[(i, j + off)] = v
             off += m.cols
-        return cls(rows, off, out)
+        return cls._own(rows, off, out)
 
     def split_cols(self, widths) -> list[IntMatrix]:
         """The blocks of hstack_all, given their widths, entry order kept."""
@@ -171,7 +180,7 @@ class IntMatrix:
         for (i, j), v in self.entries.items():
             b, off = block[j]
             parts[b][(i, j - off)] = v
-        return [IntMatrix(self.rows, w, p) for w, p in zip(widths, parts)]
+        return [IntMatrix._own(self.rows, w, p) for w, p in zip(widths, parts)]
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:
@@ -179,11 +188,11 @@ class IntMatrix:
         out = dict(self.entries)
         for (i, j), v in other.entries.items():
             out[(i + self.rows, j)] = v
-        return IntMatrix(self.rows + other.rows, self.cols, out)
+        return IntMatrix._own(self.rows + other.rows, self.cols, out)
 
     def take_rows(self, count: int) -> IntMatrix:
-        return IntMatrix(count, self.cols,
-                         {(i, j): v for (i, j), v in self.entries.items() if i < count})
+        return IntMatrix._own(count, self.cols, {k: v for k, v in self.entries.items()
+                                                 if k[0] < count})
 
     def columns_as_dicts(self):
         out = [dict() for _ in range(self.cols)]
@@ -235,7 +244,7 @@ def block_diag(mats) -> IntMatrix:
             entries[(r + i, c + j)] = v
         r += m.rows
         c += m.cols
-    return IntMatrix(r, c, entries)
+    return IntMatrix._own(r, c, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +394,20 @@ def smith_normal_form(a: IntMatrix):
 # ---------------------------------------------------------------------------
 # Sparse elimination by column operations: invariant factors and kernels
 
-def _row_index(work: list[dict]) -> dict[int, set[int]]:
-    """at[r]: the columns of work with a nonzero entry in row r."""
+def _indexed_columns(cells, ncols: int, skip=()):
+    """(work, at) in one pass over cells, ((row, col), nonzero) pairs: work[j]
+    maps row to value, in cell order, except for columns in skip, left empty;
+    at[r] holds the columns with a nonzero in row r."""
+    work = [{} for _ in range(ncols)]
     at: dict[int, set[int]] = {}
-    for j, c in enumerate(work):
-        for r in c:
-            at.setdefault(r, set()).add(j)
-    return at
+    for (i, j), v in cells:
+        if j not in skip:
+            work[j][i] = v
+            if i in at:
+                at[i].add(j)
+            else:
+                at[i] = {j}
+    return work, at
 
 
 def _column_update(work, at, v, j, p, q):
@@ -419,19 +435,16 @@ def invariant_factors(a: IntMatrix, cleared=frozenset(),
     """Nonzero diagonal of the Smith form (so len == rank), sparse-friendly.
 
     Unit pivots are eliminated first, by column operations, sparsest column
-    first and, in it, the unit row meeting the fewest active columns; a
-    retired pivot column is cleared by row operations that touch no other
-    column, so it is dropped.  The (typically tiny) residual without unit
-    entries reaches the dense routine, transposed.  Columns in cleared are
-    left out of the elimination: that is exact when they are the unit-pivot
-    rows, as found here, of a matrix b with a @ b == 0 (see
-    bredon._CochainComplex).  With with_pivots the result is (factors,
-    pivots), pivots mapping each unit-pivot row to its column.
+    first and, in it, the unit row meeting the fewest active columns (the
+    lowest such row); a retired pivot column is cleared by row operations
+    that touch no other column, so it is dropped.  The (typically tiny)
+    residual without unit entries reaches the dense routine, transposed.
+    Columns in cleared are left out of the elimination: that is exact when
+    they are the unit-pivot rows, as found here, of a matrix b with
+    a @ b == 0 (see bredon._CochainComplex).  With with_pivots the result is
+    (factors, pivots), pivots mapping each unit-pivot row to its column.
     """
-    work: list[dict | None] = a.columns_as_dicts()
-    for j in cleared:
-        work[j] = {}
-    at = _row_index(work)
+    work, at = _indexed_columns(a.entries.items(), a.cols, cleared)
     pivots: dict[int, int] = {}
     heap = [(len(c), j) for j, c in enumerate(work) if c]
     heapq.heapify(heap)
@@ -441,12 +454,15 @@ def invariant_factors(a: IntMatrix, cleared=frozenset(),
         col = work[p]
         if not col or len(col) != nnz:
             continue                      # stale heap entry
-        unit_rows = [r for r, v in col.items() if v in (1, -1)]
-        if not unit_rows:
+        r = least = -1
+        for rr, v in col.items():
+            if v == 1 or v == -1:
+                n = len(at[rr])
+                if r < 0 or n < least or (n == least and rr < r):
+                    r, least, pv = rr, n, v
+        if r < 0:
             parked.add(p)
             continue
-        r = min(unit_rows, key=lambda rr: (len(at[rr]), rr))
-        pv = col[r]
         for j in sorted(at[r] - {p}):
             _column_update(work, at, None, j, p, work[j][r] // pv)
             parked.discard(j)
@@ -469,15 +485,15 @@ def invariant_factors(a: IntMatrix, cleared=frozenset(),
 class ColumnReduction:
     """Unimodular column reduction of an integer matrix, tracking V.
 
-    It runs on the column layout of invariant_factors (the row index of
-    _row_index and the update of _column_update) with another pivot order:
-    rows are processed in ascending order, and each row's active columns
-    are combined by a centered Euclid on that row into one pivot, whatever
-    its value.  After construction the retired pivot columns form a
-    staircase (each has the unique nonzero entry among pivots at its pivot
-    row, and zeros at all earlier pivot rows), and every non-retired column
-    has been reduced to zero.  That gives the kernel lattice and forced
-    back-solves.
+    It runs on the column layout of invariant_factors (the column dicts and
+    row index of _indexed_columns and the update of _column_update) with
+    another pivot order: rows are processed in ascending order, and each
+    row's active columns are combined by a centered Euclid on that row into
+    one pivot, whatever its value.  After construction the retired pivot
+    columns form a staircase (each has the unique nonzero entry among pivots
+    at its pivot row, and zeros at all earlier pivot rows), and every
+    non-retired column has been reduced to zero.  That gives the kernel
+    lattice and forced back-solves.
 
     moduli maps rows r to m_r > 0 and stands for one more column m_r e_r
     per row, never stored.  Until row r is processed its entries are kept
@@ -497,16 +513,17 @@ class ColumnReduction:
     def __init__(self, columns: list[dict], ncols=None, moduli=None,
                  tracked=None):
         self.ncols = len(columns) if ncols is None else ncols
-        self.work = [dict(c) for c in columns]
         if tracked is None:
             tracked = len(columns)
         self.v = [{j: 1} if j < tracked else {} for j in range(len(columns))]
         self.moduli = moduli or {}
         self.pivots: list[tuple[int, int]] = []   # (row, col) in retirement order
         active = set(range(len(columns)))
-        # at holds every row not yet processed; processed rows are zero in
-        # every active column
-        at = _row_index(self.work)
+        # work copies columns; at holds every row not yet processed, and
+        # processed rows are zero in every active column
+        self.work, at = _indexed_columns(
+            (((r, j), v) for j, c in enumerate(columns) for r, v in c.items()),
+            len(columns))
         if self.moduli:
             for j, c in enumerate(self.work):
                 self._reduce(j, list(c), at)
@@ -581,11 +598,7 @@ class ColumnReduction:
         return [self.v[j] for j in self.free]
 
     def kernel_matrix(self) -> IntMatrix:
-        entries = {}
-        for k, vec in enumerate(self.kernel_vectors()):
-            for i, val in vec.items():
-                entries[(i, k)] = val
-        return IntMatrix(self.ncols, len(self.free), entries)
+        return _from_columns(self.ncols, self.kernel_vectors())
 
     def solve_column(self, b: dict):
         """x with A x = b over Z (as a dict), or None when unsolvable."""
@@ -607,6 +620,12 @@ class ColumnReduction:
         return x
 
 
+def _from_columns(rows: int, columns: list[dict]) -> IntMatrix:
+    """The matrix with the given column dicts, keys below rows, no zeros."""
+    return IntMatrix._own(rows, len(columns), {
+        (i, k): v for k, c in enumerate(columns) for i, v in c.items()})
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of {x in Z^cols : A x = 0}, as matrix columns."""
     return ColumnReduction(a.columns_as_dicts(), a.cols).kernel_matrix()
@@ -615,14 +634,12 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 def solve_exact(a: IntMatrix, b: IntMatrix):
     """X with A @ X = B over the integers, or None when no solution exists."""
     red = ColumnReduction(a.columns_as_dicts(), a.cols)
-    entries = {}
-    for j, col in enumerate(b.columns_as_dicts()):
-        x = red.solve_column(col)
-        if x is None:
+    xs = []
+    for col in b.columns_as_dicts():
+        xs.append(red.solve_column(col))
+        if xs[-1] is None:
             return None
-        for i, v in x.items():
-            entries[(i, j)] = v
-    return IntMatrix(a.cols, b.cols, entries)
+    return _from_columns(a.cols, xs)
 
 
 def _row_moduli(relations: IntMatrix) -> tuple[dict[int, int], list[dict]]:
@@ -665,14 +682,7 @@ def preimage_generators(a: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
     moduli, explicit = _row_moduli(target_relations)
     red = ColumnReduction(a.columns_as_dicts() + explicit, moduli=moduli,
                           tracked=a.cols)
-    entries = {}
-    k = 0
-    for vec in red.kernel_vectors():
-        if vec:
-            for i, v in vec.items():
-                entries[(i, k)] = v
-            k += 1
-    return IntMatrix(a.cols, k, entries)
+    return _from_columns(a.cols, [vec for vec in red.kernel_vectors() if vec])
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +872,7 @@ def stack_homs(homs) -> AbHom:
         for (i, j), v in h.matrix.entries.items():
             entries[(off + i, j)] = v
         off += h.target.ngens
-    return AbHom(src, target, IntMatrix(target.ngens, src.ngens, entries))
+    return AbHom(src, target, IntMatrix._own(target.ngens, src.ngens, entries))
 
 
 def quotient_presentation(generators: IntMatrix, subgens: IntMatrix) -> FgAbGroup:

@@ -57,12 +57,17 @@ def canonical_rep(group: FiniteGroup, x: int, target: Subgroup) -> int:
 
 def morphisms(source: Subgroup, target: Subgroup) -> list[OrbitMorphism]:
     """All morphisms G/source -> G/target, sorted by coset representative."""
+    return _morphisms(source, target, target.left_coset_representatives())
+
+
+def _morphisms(source: Subgroup, target: Subgroup, coset_reps) -> list[OrbitMorphism]:
+    """morphisms(source, target), given target's left coset representatives."""
     g = source.parent
     if target.parent is not g:
         raise NotComposableError("subgroups of different parent groups")
     out = []
     tgt = set(target.members)
-    for x in target.left_coset_representatives():
+    for x in coset_reps:
         if all(g.conj(x, h) in tgt for h in source.members):
             out.append(OrbitMorphism(source, target, x))
     return out
@@ -141,9 +146,10 @@ class OrbitCategory:
         # in_chains[mid]: whether morphism mid may occur in a chain
         self.in_chains: list[bool] = []
         self._morph_id: dict[tuple[int, int, int], int] = {}
+        cosets = [t.left_coset_representatives() for t in self.subgroups]
         for si, s in enumerate(self.subgroups):
             for ti, t in enumerate(self.subgroups):
-                for m in morphisms(s, t):
+                for m in _morphisms(s, t, cosets[ti]):
                     mid = len(self.morphs)
                     self.morphs.append(m)
                     self.m_src.append(si)

@@ -43,6 +43,16 @@ def test_morphism_count_matches_fixed_cosets():
                 assert len(morphisms(h, k)) == fixed_coset_count(h, k)
 
 
+def test_category_morphisms_are_those_of_morphisms():
+    # the category computes each target's coset representatives once
+    for name in ("c4", "c2xc2", "s3", "d4", "q8"):
+        for reduced in (True, False):
+            cat = OrbitCategory(full_family(builtin_group(name)), reduced=reduced)
+            listed = [m for s in cat.subgroups for t in cat.subgroups
+                      for m in morphisms(s, t)]
+            assert cat.morphs == listed
+
+
 def test_identity_law_and_composition():
     g, fam = c2_family()
     triv, full = fam.subgroups

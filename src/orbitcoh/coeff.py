@@ -9,6 +9,7 @@ functor laws at construction time.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import groupby
 
 from .errors import BadParametersError, FunctorialityError
@@ -63,6 +64,12 @@ class GModule:
 
     def act(self, g: int) -> IntMatrix:
         return self.actions[g]
+
+    @cached_property
+    def finite_module(self):
+        """This finite module's interp.FiniteModule, kept as long as it is."""
+        from .interp import FiniteModule
+        return FiniteModule(self)
 
     @classmethod
     def trivial(cls, group: FiniteGroup, carrier: FgAbGroup) -> GModule:

@@ -12,6 +12,7 @@ agreement between the two routes is what the test suites check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, product
 
 from .coeff import GModule, OrbitModule
@@ -158,7 +159,9 @@ class FiniteModule:
     Elements are tuples of residues.  The action and the group law are memo
     tables, act_table[g, v], add_table[a, b], sub_table[a, b] and
     neg_table[a], that compute each entry on first use; a table holds only
-    what was asked of this instance.
+    what was asked of this instance; factor_set_classes is kept the same
+    way.  GModule.finite_module builds one instance per module, so all of
+    this lives exactly as long as that module.
     """
 
     def __init__(self, module: GModule):
@@ -199,6 +202,36 @@ class FiniteModule:
 
     def elements(self):
         return [tuple(v) for v in product(*[range(d) for d in self.moduli])]
+
+    @cached_property
+    def factor_set_classes(self) -> tuple[dict, list[dict]]:
+        """(by_class, derivation_etas), which depend on the module alone.
+
+        by_class maps each class of normalized 2-cocycles modulo
+        coboundaries, in ascending order, to its representative: the least
+        tuple over (x, y) in the class, itself a cocycle of the class, as a
+        factor set (x, y) -> element.  derivation_etas are the normalized
+        1-cochains with zero coboundary, as x -> element dicts.
+        """
+        n = self.group.order
+        add, zero = self.add_table, self.zero
+        coboundaries = []
+        derivation_etas = []
+        for eta in _normalized_cochains(self, arity_one=True):
+            b = _coboundary(self, eta)
+            coboundaries.append(b)
+            if all(v == zero for v in b.values()):
+                derivation_etas.append({0: zero, **eta})
+        pair_keys = [(x, y) for x in range(n) for y in range(n)]
+        normalized = {k: zero for x in range(n) for k in ((0, x), (x, 0))}
+        reps = set()
+        for cand in _normalized_cochains(self, arity_one=False):
+            c = {**normalized, **cand}
+            if _is_cocycle(self, c):
+                reps.add(min(tuple(add[c[k], b[k]] for k in pair_keys)
+                             for b in coboundaries))
+        by_class = {r: dict(zip(pair_keys, r)) for r in sorted(reps)}
+        return by_class, derivation_etas
 
     def index(self, vec) -> int:
         out = 0
@@ -283,7 +316,7 @@ def splittings_mod_conjugacy(module: GModule, family: Family,
     degree-1 orbit-category cohomology group.
     """
     _require_trivial(family)
-    fm = FiniteModule(module)
+    fm = module.finite_module
     n = module.group.order
     act, subtract = fm.act_table, fm.sub_table
     elements = fm.elements()
@@ -492,55 +525,25 @@ def enumerate_f_structures(module: GModule, family: Family,
                            cap: int = DEFAULT_ENUM_CAP) -> list[FStructureClass]:
     """Equivalence classes of subgroup-lift structures on extensions.
 
-    Enumerates normalized factor sets, groups them into cohomology classes
-    by coboundary shifts, searches subgroup lifts over one representative
-    per class, filters by the conjugation-lifting axiom, and canonicalizes
-    under the equivalence transformations (automorphisms over the identity
-    composed with per-member module conjugation).
+    Groups normalized factor sets into cohomology classes by coboundary
+    shifts (once per module, FiniteModule.factor_set_classes), searches
+    subgroup lifts over one representative per class, filters by the
+    conjugation-lifting axiom, and canonicalizes under the equivalence
+    transformations (automorphisms over the identity composed with
+    per-member module conjugation).
     """
     _require_trivial(family)
-    fm = FiniteModule(module)
-    g = module.group
-    n = g.order
+    fm = module.finite_module
+    n = module.group.order
     count = fm.size ** ((n - 1) ** 2)
     if count > cap:
         raise SizeLimitError(count, cap)
-    add = fm.add_table
-
-    normalized = {}
-    for x in range(n):
-        normalized[(0, x)] = fm.zero
-        normalized[(x, 0)] = fm.zero
-    cocycles = []
-    for cand in _normalized_cochains(fm, arity_one=False):
-        c = {**normalized, **cand}
-        if _is_cocycle(fm, c):
-            cocycles.append(c)
-
-    coboundaries = []
-    derivation_etas = []
-    for eta in _normalized_cochains(fm, arity_one=True):
-        b = _coboundary(fm, eta)
-        coboundaries.append(b)
-        if all(v == fm.zero for v in b.values()):
-            derivation_etas.append({0: fm.zero, **eta})
-
-    # the minimal tuple in each coboundary orbit is the class representative,
-    # and it is itself a cocycle of the class
-    pair_keys = [(x, y) for x in range(n) for y in range(n)]
-
-    def class_rep(c):
-        return min(tuple(add[c[k], b[k]] for k in pair_keys)
-                   for b in coboundaries)
-
-    reps = sorted({class_rep(c) for c in cocycles})
-    by_class = {rep: dict(zip(pair_keys, rep)) for rep in reps}
+    by_class, derivation_etas = fm.factor_set_classes
 
     subs = list(family)
     zero_rep = (fm.zero,) * (n * n)
     classes: list[FStructureClass] = []
-    for rep in reps:
-        factor = by_class[rep]
+    for rep, factor in by_class.items():
         per_sub = [_subgroup_lifts(fm, factor, s) for s in subs]
         if any(not lifts for lifts in per_sub):
             continue

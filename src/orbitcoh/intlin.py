@@ -493,7 +493,8 @@ class ColumnReduction:
     columns form a staircase (each has the unique nonzero entry among pivots
     at its pivot row, and zeros at all earlier pivot rows), and every
     non-retired column has been reduced to zero.  That gives the kernel
-    lattice and forced back-solves.
+    lattice and forced back-solves.  The input, column dicts or an
+    IntMatrix, is copied into that layout in one pass over its cells.
 
     moduli maps rows r to m_r > 0 and stands for one more column m_r e_r
     per row, never stored.  Until row r is processed its entries are kept
@@ -510,20 +511,24 @@ class ColumnReduction:
 
     __slots__ = ("ncols", "work", "v", "pivots", "free", "moduli")
 
-    def __init__(self, columns: list[dict], ncols=None, moduli=None,
-                 tracked=None):
-        self.ncols = len(columns) if ncols is None else ncols
+    def __init__(self, columns: list[dict] | IntMatrix, ncols=None,
+                 moduli=None, tracked=None):
+        if isinstance(columns, IntMatrix):
+            count, cells = columns.cols, columns.entries.items()
+        else:
+            count = len(columns)
+            cells = (((r, j), v) for j, c in enumerate(columns)
+                     for r, v in c.items())
+        self.ncols = count if ncols is None else ncols
         if tracked is None:
-            tracked = len(columns)
-        self.v = [{j: 1} if j < tracked else {} for j in range(len(columns))]
+            tracked = count
+        self.v = [{j: 1} if j < tracked else {} for j in range(count)]
         self.moduli = moduli or {}
         self.pivots: list[tuple[int, int]] = []   # (row, col) in retirement order
-        active = set(range(len(columns)))
-        # work copies columns; at holds every row not yet processed, and
+        active = set(range(count))
+        # work copies the columns; at holds every row not yet processed, and
         # processed rows are zero in every active column
-        self.work, at = _indexed_columns(
-            (((r, j), v) for j, c in enumerate(columns) for r, v in c.items()),
-            len(columns))
+        self.work, at = _indexed_columns(cells, count)
         if self.moduli:
             for j, c in enumerate(self.work):
                 self._reduce(j, list(c), at)
@@ -628,12 +633,12 @@ def _from_columns(rows: int, columns: list[dict]) -> IntMatrix:
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of {x in Z^cols : A x = 0}, as matrix columns."""
-    return ColumnReduction(a.columns_as_dicts(), a.cols).kernel_matrix()
+    return ColumnReduction(a).kernel_matrix()
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix):
     """X with A @ X = B over the integers, or None when no solution exists."""
-    red = ColumnReduction(a.columns_as_dicts(), a.cols)
+    red = ColumnReduction(a)
     xs = []
     for col in b.columns_as_dicts():
         xs.append(red.solve_column(col))
@@ -680,8 +685,11 @@ def preimage_generators(a: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
     if a.cols == 0:
         return IntMatrix(0, 0)
     moduli, explicit = _row_moduli(target_relations)
-    red = ColumnReduction(a.columns_as_dicts() + explicit, moduli=moduli,
-                          tracked=a.cols)
+    entries = dict(a.entries)
+    for k, c in enumerate(explicit, a.cols):
+        entries.update(((r, k), v) for r, v in c.items())
+    both = IntMatrix._own(a.rows, a.cols + len(explicit), entries)
+    red = ColumnReduction(both, moduli=moduli, tracked=a.cols)
     return _from_columns(a.cols, [vec for vec in red.kernel_vectors() if vec])
 
 

@@ -98,6 +98,25 @@ def test_indexed_pivot_search_matches_reference_scan(a):
     assert red.v == v
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_matrices(), st.integers(0, 9),
+       st.sampled_from([None, {}, {0: 4, 2: 3, 5: 6}]))
+def test_a_matrix_reduces_as_its_column_dicts(a, tracked, moduli):
+    """ColumnReduction(a), read in one pass over a's entries, is in the
+    same state as a reduction of a's column dicts, and changes neither."""
+    columns = a.columns_as_dicts()
+    entries = dict(a.entries)
+    kept = [dict(c) for c in columns]
+    tracked = min(tracked, a.cols)
+    got = ColumnReduction(a, moduli=moduli, tracked=tracked)
+    want = ColumnReduction(columns, moduli=moduli, tracked=tracked)
+    assert (got.ncols, got.pivots, got.free, got.work, got.v) \
+        == (want.ncols, want.pivots, want.free, want.work, want.v)
+    assert [list(c.items()) for c in got.work] \
+        == [list(c.items()) for c in want.work]
+    assert a.entries == entries and columns == kept
+
+
 def test_indexed_pivot_search_matches_reference_scan_at_scale():
     # a differential-like block: many columns, each meeting few rows,
     # next to the diagonal relation block of Z/4 coefficients

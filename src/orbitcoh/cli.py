@@ -351,7 +351,7 @@ def cmd_derivations(args) -> int:
 def cmd_characters(args) -> int:
     group = load_group(args.group)
     family = load_family(args.family, group)
-    if args.subgroup:
+    if args.subgroup is not None:
         try:
             members = [int(x) for x in args.subgroup.split(",")]
         except ValueError as exc:

@@ -237,7 +237,7 @@ def test_size_cap_below_one_exits_2(capsys, cap):
     assert "--size-cap" in json.loads(err)["error"]["message"]
 
 
-@pytest.mark.parametrize("subgroup", ["a,b", "0,99", "0,-1"])
+@pytest.mark.parametrize("subgroup", ["a,b", "0,99", "0,-1", "0,,1", ""])
 def test_characters_bad_subgroup_exits_2(capsys, subgroup):
     code, out, err = run_cli(capsys, "characters", "--group", "s3",
                              "--family", "trivial-only",

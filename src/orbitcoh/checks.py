@@ -12,6 +12,7 @@ element search).
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .bredon import (
     restriction_kernel_intersection,
 )
 from .coeff import GModule, fixed_point_functor, sign_modules
+from .errors import OrbitcohError
 from .groups import (
     Family,
     builtin_group,
@@ -76,21 +78,135 @@ class SuiteReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-class _Recorder:
-    def __init__(self, suite: str):
-        self.report = SuiteReport(suite)
+def worker_count(threads: int, checks: int) -> int:
+    """Workers for ``checks`` checks under ``--threads threads``: at most one
+    per check and one per CPU this process may run on, and one where the
+    platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(threads, checks, cpus))
 
-    def run(self, name: str, fn):
+
+# bytes per check index in the task queue; a suite's queue (at most a few
+# dozen indices) fits in a pipe's buffer, so filling it never blocks
+_RECORD = 2
+
+
+def _work(checks, queue: int) -> dict:
+    """Run the checks whose indices this worker pulls from the queue pipe.
+
+    A check's outcome is its ``CheckResult``, or the exception other than
+    ``AssertionError`` that it raised.  After such an exception the worker
+    empties the queue, so the run ends once the checks already started end.
+    """
+    outcomes = {}
+    while record := os.read(queue, _RECORD):
+        index = int.from_bytes(record, "little")
+        name, fn = checks[index]
         start = time.perf_counter()
         try:
-            detail = fn()
-            passed = True
-            detail = detail or "ok"
+            passed, detail = True, fn() or "ok"
         except AssertionError as exc:
-            passed = False
-            detail = str(exc) or "assertion failed"
-        self.report.checks.append(
-            CheckResult(name, passed, detail, time.perf_counter() - start))
+            passed, detail = False, str(exc) or "assertion failed"
+        except Exception as exc:
+            outcomes[index] = exc
+            while os.read(queue, 4096):
+                pass
+            break
+        outcomes[index] = CheckResult(name, passed, detail,
+                                      time.perf_counter() - start)
+    return outcomes
+
+
+def _fork_worker(checks, queue: int) -> tuple[int, int]:
+    """Fork a child that runs ``_work`` and sends its outcomes back pickled;
+    return the child's pid and the read end of its result pipe."""
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        # the child never returns into the caller's stack
+        code = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_work(checks, queue))
+            with open(write, "wb") as fh:
+                fh.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _receive(read: int) -> dict:
+    """A child's outcomes; none if it ended before sending all of them, or
+    sent what cannot be rebuilt here."""
+    import pickle
+
+    with open(read, "rb", closefd=False) as fh:
+        try:
+            return pickle.load(fh)
+        except Exception:
+            return {}
+
+
+def run_checks(suite: str, checks: list, threads: int) -> SuiteReport:
+    """Run the ``(name, fn)`` checks on ``worker_count(threads, len(checks))``
+    workers and merge their outcomes in list order.
+
+    The calling process is one worker and the others are forked children;
+    fork shares the checks, which are closures, without pickling them, and
+    assumes that the caller runs no other thread, as the CLI does.  All
+    workers pull check indices from one queue pipe filled up front, so a
+    long check does not hold up a fixed share.  The report equals that of a
+    sequential run but for the seconds per check: the first check in list
+    order that raised anything other than ``AssertionError`` raises again
+    here, and a check whose worker ended without reporting it raises
+    ``OrbitcohError``.  Every child is reaped before this returns.
+    """
+    queue, fill = os.pipe()
+    children = []                       # (pid, read end of its result pipe)
+    done = False
+    try:
+        with open(fill, "wb") as fh:
+            fh.write(b"".join(i.to_bytes(_RECORD, "little")
+                              for i in range(len(checks))))
+        for _ in range(worker_count(threads, len(checks)) - 1):
+            try:
+                children.append(_fork_worker(checks, queue))
+            except OSError:             # fewer workers share the queue
+                break
+        outcomes = _work(checks, queue)
+        for _, read in children:
+            outcomes.update(_receive(read))
+        done = True
+    finally:
+        os.close(queue)
+        if not done:                    # interrupted: stop the children
+            import signal
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid, read in children:
+            os.waitpid(pid, 0)
+            os.close(read)
+    report = SuiteReport(suite)
+    for index, (name, _) in enumerate(checks):
+        if index not in outcomes:
+            raise OrbitcohError(
+                f"the worker running check {name!r} ended without reporting it")
+        if isinstance(outcomes[index], Exception):
+            raise outcomes[index]
+        report.checks.append(outcomes[index])
+    return report
 
 
 def _zmod(group, n):
@@ -127,10 +243,9 @@ def _families_with_trivial(group):
     return out
 
 
-def oracle_suite() -> SuiteReport:
+def oracle_suite(threads: int = 1) -> SuiteReport:
     """Cochain route versus the bar oracle, and restriction-kernel formulas."""
-    rec = _Recorder("oracle")
-
+    checks = []
     for name in ORACLE_GROUPS:
         group = builtin_group(name)
         for label, module in _modules_for(group):
@@ -145,7 +260,7 @@ def oracle_suite() -> SuiteReport:
                     assert ours == oracle, \
                         f"degree {deg}: {ours} != oracle {oracle}"
                 return "degrees 0..3 agree"
-            rec.run(f"bar-agreement/{name}/{label}", check)
+            checks.append((f"bar-agreement/{name}/{label}", check))
 
     for name in ORACLE_GROUPS:
         group = builtin_group(name)
@@ -158,7 +273,7 @@ def oracle_suite() -> SuiteReport:
                     assert direct == routed, \
                         f"limit {direct} != cochain route {routed}"
             return "degree-0 limit agrees on trivial and full families"
-        rec.run(f"h0-limit/{name}", check_limit)
+        checks.append((f"h0-limit/{name}", check_limit))
 
     for name, mod in STRUCTURE_MATRIX:
         group = builtin_group(name)
@@ -176,13 +291,13 @@ def oracle_suite() -> SuiteReport:
                     assert h2.normal_form() == inter2.normal_form(), \
                         f"H2 mismatch at {fam.member_sets()}"
             return "kernel intersections agree on every family"
-        rec.run(f"restriction-kernels/{name}/Z{mod}", check)
-    return rec.report
+        checks.append((f"restriction-kernels/{name}/Z{mod}", check))
+    return run_checks("oracle", checks, threads)
 
 
-def characters_suite() -> SuiteReport:
+def characters_suite(threads: int = 1) -> SuiteReport:
     """Second cohomology with constant Z versus the character group."""
-    rec = _Recorder("characters")
+    checks = []
     for name in SHIPPED_ORDER_8:
         group = builtin_group(name)
         module = _zfree(group)
@@ -195,13 +310,13 @@ def characters_suite() -> SuiteReport:
                 assert h2.normal_form() == cg.group.normal_form, \
                     f"mismatch at {fam.member_sets()}"
             return f"{len(fams)} closed families agree"
-        rec.run(f"character-formula/{name}", check)
-    return rec.report
+        checks.append((f"character-formula/{name}", check))
+    return run_checks("characters", checks, threads)
 
 
-def structures_suite() -> SuiteReport:
+def structures_suite(threads: int = 1) -> SuiteReport:
     """Structure classes against H^2, splitting classes against H^1."""
-    rec = _Recorder("structures")
+    checks = []
     for name, mod in STRUCTURE_MATRIX:
         group = builtin_group(name)
         module = _zmod(group, mod)
@@ -219,7 +334,7 @@ def structures_suite() -> SuiteReport:
                               for v in split[0].witness.factor_set.values())
                 assert zero_fs, "split class must sit over the trivial extension"
             return "class counts equal |H2|, split class unique over zero"
-        rec.run(f"str-bijection/{name}/Z{mod}", check_h2)
+        checks.append((f"str-bijection/{name}/Z{mod}", check_h2))
 
         def check_h1(group=group, module=module):
             for fam in _families_with_trivial(group):
@@ -229,7 +344,7 @@ def structures_suite() -> SuiteReport:
                 assert got.count == h1.order(), \
                     f"splitting count {got.count} != |H1| {h1.order()} at {fam.member_sets()}"
             return "splitting class counts equal |H1|"
-        rec.run(f"splitting-classes/{name}/Z{mod}", check_h1)
+        checks.append((f"splitting-classes/{name}/Z{mod}", check_h1))
 
     for name in ("c2", "c4", "c2xc2"):
         group = builtin_group(name)
@@ -242,13 +357,13 @@ def structures_suite() -> SuiteReport:
                     assert lhs == rhs, \
                         f"{label}: derivations {lhs} != cochain {rhs}"
             return "derivation quotients equal degree-1 cohomology"
-        rec.run(f"derivation-quotient/{name}", check_derivations)
-    return rec.report
+        checks.append((f"derivation-quotient/{name}", check_derivations))
+    return run_checks("structures", checks, threads)
 
 
-def galois_suite() -> SuiteReport:
+def galois_suite(threads: int = 1) -> SuiteReport:
     """Unit-module cohomology on the finite-field grid vanishes as predicted."""
-    rec = _Recorder("galois")
+    checks = []
     for p in (2, 3):
         for n in range(1, 5):
             for d in range(1, n + 1):
@@ -269,8 +384,8 @@ def galois_suite() -> SuiteReport:
                         assert pp.recombined() == h0.torsion, \
                             "primary parts must recombine"
                     return f"{len(fams)} families, degrees 1..3 all zero"
-                rec.run(f"finite-field/p{p}/n{n}/d{d}", check)
-    return rec.report
+                checks.append((f"finite-field/p{p}/n{n}/d{d}", check))
+    return run_checks("galois", checks, threads)
 
 
 def _independent_det(mat: IntMatrix) -> int:
@@ -301,10 +416,10 @@ def _independent_det(mat: IntMatrix) -> int:
     return sign * prev
 
 
-def properties_suite(snf_samples: int = 1000,
-                     seed: int = 271828) -> SuiteReport:
+def properties_suite(snf_samples: int = 1000, seed: int = 271828,
+                     threads: int = 1) -> SuiteReport:
     """Complex law, morphism counts, functor laws, Smith identities, search."""
-    rec = _Recorder("properties")
+    checks = []
 
     def check_d_after_d():
         for name in ("c2", "c4", "s3"):
@@ -322,7 +437,7 @@ def properties_suite(snf_samples: int = 1000,
                         assert lattice_contains(target.relations, comp), \
                             f"d.d != 0 for {name}/{label} at degree {deg}"
         return "d.d = 0 through degree 3 on the whole matrix"
-    rec.run("complex-law", check_d_after_d)
+    checks.append(("complex-law", check_d_after_d))
 
     def check_mor_counts():
         total = 0
@@ -335,7 +450,7 @@ def properties_suite(snf_samples: int = 1000,
                         f"morphism count mismatch in {name}"
                     total += 1
         return f"{total} morphism sets match fixed-coset counts"
-    rec.run("morphism-counts", check_mor_counts)
+    checks.append(("morphism-counts", check_mor_counts))
 
     def check_functoriality():
         count = 0
@@ -346,7 +461,7 @@ def properties_suite(snf_samples: int = 1000,
                     fixed_point_functor(module, fam).validate()
                     count += 1
         return f"{count} fixed point functors validated"
-    rec.run("fixed-point-functoriality", check_functoriality)
+    checks.append(("fixed-point-functoriality", check_functoriality))
 
     def check_snf():
         rng = random.Random(seed)
@@ -364,7 +479,7 @@ def properties_suite(snf_samples: int = 1000,
                 if y:
                     assert x and y % x == 0, "divisibility chain broken"
         return f"{snf_samples} random Smith forms verified"
-    rec.run("smith-identities", check_snf)
+    checks.append(("smith-identities", check_snf))
 
     def check_fixed_point_free():
         count = 0
@@ -379,8 +494,8 @@ def properties_suite(snf_samples: int = 1000,
                     f"claimed element fixes a coset in {group.name}"
                 count += 1
         return f"{count} coset actions admit a fixed-point-free prime-power element"
-    rec.run("fixed-point-free-search", check_fixed_point_free)
-    return rec.report
+    checks.append(("fixed-point-free-search", check_fixed_point_free))
+    return run_checks("properties", checks, threads)
 
 
 SUITES = {
@@ -396,9 +511,9 @@ def available_suites() -> list[str]:
     return sorted(SUITES) + ["all"]
 
 
-def run_suites(name: str) -> list[SuiteReport]:
+def run_suites(name: str, threads: int = 1) -> list[SuiteReport]:
     if name == "all":
-        return [SUITES[key]() for key in sorted(SUITES)]
+        return [SUITES[key](threads=threads) for key in sorted(SUITES)]
     if name not in SUITES:
         raise KeyError(name)
-    return [SUITES[name]()]
+    return [SUITES[name](threads=threads)]

@@ -402,7 +402,7 @@ def cmd_family_close(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        reports = run_suites(args.suite)
+        reports = run_suites(args.suite, args.threads)
     except KeyError:
         _fail("validation", f"unknown suite {args.suite!r}; "
               f"choose from {available_suites()}", 2)
@@ -422,7 +422,7 @@ def _add_common(parser, suppress: bool):
                         **(kw or {"default": DEFAULT_SIZE_CAP}),
                         help="abort enumerations beyond this many items")
     parser.add_argument("--threads", type=int, **(kw or {"default": 1}),
-                        help="accepted for compatibility; has no effect")
+                        help="worker processes for check; no effect on other commands")
     parser.add_argument("--output", **(kw or {"default": None}),
                         help="write the JSON document here instead of stdout")
 

@@ -19,6 +19,10 @@ class SizeLimitError(OrbitcohError):
         self.needed = needed
         self.cap = cap
 
+    def __reduce__(self):
+        # rebuilt from its own arguments, so a check worker can send it
+        return type(self), (self.needed, self.cap)
+
 
 class NotComposableError(OrbitcohError):
     """Orbit morphisms with mismatched objects."""

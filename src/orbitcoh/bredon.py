@@ -55,12 +55,11 @@ DEFAULT_SIZE_CAP = DEFAULT_CHAIN_CAP
 
 @dataclass
 class CohomologyResult:
-    """Normal form of one cohomology group, with optional representatives."""
+    """Normal form of one cohomology group."""
 
     degree: int
     rank: int
     torsion: tuple[int, ...]
-    representatives: list[list[int]] | None = None
 
     @property
     def group(self) -> FgAbGroup:
@@ -81,12 +80,6 @@ class CohomologyResult:
     def to_json(self):
         return {"degree": self.degree, "rank": self.rank,
                 "torsion": list(self.torsion)}
-
-
-def _result_from_groups(degree: int, group: FgAbGroup,
-                        representatives=None) -> CohomologyResult:
-    rank, torsion = group.normal_form
-    return CohomologyResult(degree, rank, torsion, representatives)
 
 
 class _CochainComplex:
@@ -147,28 +140,21 @@ class _CochainComplex:
             cleared = {}
             if below is not None and self._dd_vanishes(degree):
                 cleared = below[1]
-            got = invariant_factors(self.differential(degree).matrix, cleared,
-                                    with_pivots=True)
+            got = invariant_factors(self.differential(degree).matrix, cleared)
             self._eliminated[degree] = got
         return got[0]
 
     def cohomology_presentation(self, degree: int) -> SubquotientPresentation:
+        """H^degree with cocycle representatives: canonical,
+        representative(i) and its inverse class_of(vec)."""
         return SubquotientPresentation(*self._differentials_at(degree))
 
-    def cohomology(self, degree: int,
-                   with_representatives: bool = False) -> CohomologyResult:
-        if not with_representatives:
-            # d^{degree-1} is eliminated first, so d^degree can be cleared
-            group = subquotient(
-                *self._differentials_at(degree), self._dd_vanishes(degree),
-                lambda: (self._factors(degree - 1), self._factors(degree)))
-            return _result_from_groups(degree, group)
-        pres = self.cohomology_presentation(degree)
-        reps = []
-        for i in range(pres.canonical.ngens):
-            vec = pres.representative(i)
-            reps.append([vec[(r, 0)] for r in range(vec.rows)])
-        return _result_from_groups(degree, pres.canonical, reps)
+    def cohomology(self, degree: int) -> CohomologyResult:
+        # d^{degree-1} is eliminated first, so d^degree can be cleared
+        group = subquotient(
+            *self._differentials_at(degree), self._dd_vanishes(degree),
+            lambda: (self._factors(degree - 1), self._factors(degree)))
+        return CohomologyResult(degree, *group.normal_form)
 
 
 class BredonComplex(_CochainComplex):
@@ -250,10 +236,8 @@ class BredonComplex(_CochainComplex):
 
 
 def bredon_cohomology(family: Family, module: OrbitModule, degree: int,
-                      size_cap: int = DEFAULT_SIZE_CAP,
-                      with_representatives: bool = False) -> CohomologyResult:
-    cx = BredonComplex(family, module, size_cap)
-    return cx.cohomology(degree, with_representatives)
+                      size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+    return BredonComplex(family, module, size_cap).cohomology(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +319,7 @@ def bar_cohomology(module: GModule, degree: int,
 # Kernels of restriction maps on ordinary cohomology
 
 @dataclass
-class RestrictionIntersection:
+class RestrictionIntersection(CohomologyResult):
     """Classes of H^n(G, M) restricting to zero on every family member.
 
     For degree 2 the comparison with the orbit-category group is only
@@ -343,17 +327,7 @@ class RestrictionIntersection:
     conjugation closure; h1_hypothesis records the checked outcome.
     """
 
-    degree: int
-    rank: int
-    torsion: tuple[int, ...]
     h1_hypothesis: bool | None = None
-
-    @property
-    def group(self) -> FgAbGroup:
-        return FgAbGroup.from_invariants(self.rank, self.torsion)
-
-    def normal_form(self):
-        return (self.rank, self.torsion)
 
 
 def _bar_restriction_matrix(bar_g: BarComplex, bar_h: BarComplex,
@@ -410,6 +384,5 @@ def restriction_kernel_intersection(module: GModule, family: Family,
             if not bar_cohomology(msub, 1, size_cap).is_trivial():
                 hypothesis = False
                 break
-    rank, torsion = kernel_group.normal_form
-    return RestrictionIntersection(degree, rank, torsion, hypothesis)
+    return RestrictionIntersection(degree, *kernel_group.normal_form, hypothesis)
 

@@ -280,14 +280,14 @@ def oracle_suite(threads: int = 1) -> SuiteReport:
         module = _zmod(group, mod)
         def check(group=group, module=module):
             for fam in _families_with_trivial(group):
-                om = fixed_point_functor(module, fam)
-                h1 = bredon_cohomology(fam, om, 1)
+                cx = BredonComplex(fam, fixed_point_functor(module, fam))
+                h1 = cx.cohomology(1)
                 inter1 = restriction_kernel_intersection(module, fam, 1)
                 assert h1.normal_form() == inter1.normal_form(), \
                     f"H1 mismatch at {fam.member_sets()}"
                 inter2 = restriction_kernel_intersection(module, fam, 2)
                 if inter2.h1_hypothesis:
-                    h2 = bredon_cohomology(fam, om, 2)
+                    h2 = cx.cohomology(2)
                     assert h2.normal_form() == inter2.normal_form(), \
                         f"H2 mismatch at {fam.member_sets()}"
             return "kernel intersections agree on every family"

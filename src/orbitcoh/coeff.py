@@ -92,8 +92,7 @@ class GModule:
         acts: dict[int, IntMatrix] = {0: IntMatrix.identity(n)}
         frontier = [0]
         gen_map = dict(zip(generators, matrices))
-        while frontier:
-            x = frontier.pop(0)
+        for x in frontier:
             for s, ms in gen_map.items():
                 y = group.mul(x, s)
                 candidate = acts[x] @ ms
@@ -135,11 +134,9 @@ def sign_modules(group: FiniteGroup) -> list[GModule]:
 
 
 class InvariantSubgroup:
-    """The fixed subgroup M^H with its inclusion into the ambient module."""
+    """The fixed subgroup M^H, generated in the ambient module's coordinates."""
 
     def __init__(self, module: GModule, sub: Subgroup):
-        self.module = module
-        self.subgroup = sub
         carrier = module.carrier
         n = carrier.ngens
         gens = sub.generators()
@@ -153,17 +150,6 @@ class InvariantSubgroup:
             self.generators = IntMatrix.identity(n)
         self.presentation = quotient_presentation(self.generators,
                                                   carrier.relations)
-        self.inclusion = AbHom(self.presentation, carrier, self.generators)
-
-    def fixes_all(self) -> bool:
-        """Exhaustive check that every generator really is H-fixed."""
-        carrier = self.module.carrier
-        for h in self.subgroup.members:
-            moved = (self.module.act(h) - IntMatrix.identity(carrier.ngens)) \
-                @ self.generators
-            if not AbHom(self.presentation, carrier, moved).is_zero_hom():
-                return False
-        return True
 
 
 def invariants(module: GModule, sub: Subgroup) -> InvariantSubgroup:
@@ -201,10 +187,6 @@ class OrbitModule:
 
     def map_matrix(self, m: OrbitMorphism) -> IntMatrix:
         return self.maps[self.cat.morphism_id(m)]
-
-    def map_hom(self, m: OrbitMorphism) -> AbHom:
-        return AbHom(self.value(m.target), self.value(m.source),
-                     self.map_matrix(m))
 
     def validate(self):
         cat, values, maps = self.cat, self.values, self.maps

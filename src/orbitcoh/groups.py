@@ -63,9 +63,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, x: int, a: int) -> int:
         """x^-1 a x."""
         return self.mul(self.mul(self.inverse[x], a), x)

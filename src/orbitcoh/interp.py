@@ -277,8 +277,7 @@ def _derivations_by_search(fm: FiniteModule, cap: int) -> list[tuple]:
         frontier = [0]
         gen_map = list(zip(gens, assignment))
         ok = True
-        while frontier and ok:
-            x = frontier.pop(0)
+        for x in frontier:
             row, vx = table[x], vals[x]
             for s, ds in gen_map:
                 y = row[s]
@@ -290,6 +289,8 @@ def _derivations_by_search(fm: FiniteModule, cap: int) -> list[tuple]:
                 else:
                     vals[y] = cand
                     frontier.append(y)
+            if not ok:
+                break
         if not ok or len(vals) != n:
             continue
         full = tuple(vals[x] for x in range(n))
@@ -375,19 +376,6 @@ class FStructureWitness:
     def conj(self, p, q):
         """p^-1 q p."""
         return self.mul(self.mul(self.inv(p), q), p)
-
-    def axiom_i_holds(self) -> bool:
-        for sub in self.family:
-            lift = self.lifts[sub.members]
-            if len(lift) != sub.size:
-                return False
-            if {x for (_, x) in lift} != set(sub.members):
-                return False
-            for p in lift:
-                for q in lift:
-                    if self.mul(p, q) not in lift:
-                        return False
-        return True
 
     def axiom_ii_holds(self) -> bool:
         g = self.fm.group

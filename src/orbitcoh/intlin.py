@@ -91,11 +91,6 @@ class IntMatrix:
                    cols if cols is not None else n,
                    {(i, i): v for i, v in enumerate(values) if v})
 
-    @classmethod
-    def column(cls, values) -> IntMatrix:
-        values = list(values)
-        return cls(len(values), 1, {(i, 0): v for i, v in enumerate(values) if v})
-
     def __getitem__(self, key):
         return self.entries.get(key, 0)
 
@@ -121,10 +116,6 @@ class IntMatrix:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix._own(self.cols, self.rows,
-                              {(j, i): v for (i, j), v in self.entries.items()})
 
     def __neg__(self):
         return IntMatrix._own(self.rows, self.cols,
@@ -430,9 +421,10 @@ def _column_update(work, at, v, j, p, q):
         _axpy(v[j], v[p], q)
 
 
-def invariant_factors(a: IntMatrix, cleared=frozenset(),
-                      with_pivots: bool = False):
-    """Nonzero diagonal of the Smith form (so len == rank), sparse-friendly.
+def invariant_factors(a: IntMatrix, cleared=frozenset()):
+    """(factors, pivots): the nonzero diagonal of the Smith form (so
+    len(factors) == rank), sparse-friendly, and each unit-pivot row mapped
+    to its column.
 
     Unit pivots are eliminated first, by column operations, sparsest column
     first and, in it, the unit row meeting the fewest active columns (the
@@ -441,8 +433,7 @@ def invariant_factors(a: IntMatrix, cleared=frozenset(),
     residual without unit entries reaches the dense routine, transposed.
     Columns in cleared are left out of the elimination: that is exact when
     they are the unit-pivot rows, as found here, of a matrix b with
-    a @ b == 0 (see bredon._CochainComplex).  With with_pivots the result is
-    (factors, pivots), pivots mapping each unit-pivot row to its column.
+    a @ b == 0 (see bredon._CochainComplex).
     """
     work, at = _indexed_columns(a.entries.items(), a.cols, cleared)
     pivots: dict[int, int] = {}
@@ -479,7 +470,7 @@ def invariant_factors(a: IntMatrix, cleared=frozenset(),
         dense = [[work[j].get(r, 0) for r in row_ids] for j in live]
         factors.extend(_snf_dense(dense, len(live), len(row_ids)))
     # 1s divide everything, residual chain is already consistent
-    return (factors, pivots) if with_pivots else factors
+    return factors, pivots
 
 
 class ColumnReduction:
@@ -493,8 +484,8 @@ class ColumnReduction:
     columns form a staircase (each has the unique nonzero entry among pivots
     at its pivot row, and zeros at all earlier pivot rows), and every
     non-retired column has been reduced to zero.  That gives the kernel
-    lattice and forced back-solves.  The input, column dicts or an
-    IntMatrix, is copied into that layout in one pass over its cells.
+    lattice and forced back-solves.  The input matrix is copied into that
+    layout in one pass over its cells.
 
     moduli maps rows r to m_r > 0 and stands for one more column m_r e_r
     per row, never stored.  Until row r is processed its entries are kept
@@ -511,15 +502,8 @@ class ColumnReduction:
 
     __slots__ = ("ncols", "work", "v", "pivots", "free", "moduli")
 
-    def __init__(self, columns: list[dict] | IntMatrix, ncols=None,
-                 moduli=None, tracked=None):
-        if isinstance(columns, IntMatrix):
-            count, cells = columns.cols, columns.entries.items()
-        else:
-            count = len(columns)
-            cells = (((r, j), v) for j, c in enumerate(columns)
-                     for r, v in c.items())
-        self.ncols = count if ncols is None else ncols
+    def __init__(self, a: IntMatrix, moduli=None, tracked=None):
+        self.ncols = count = a.cols
         if tracked is None:
             tracked = count
         self.v = [{j: 1} if j < tracked else {} for j in range(count)]
@@ -528,7 +512,7 @@ class ColumnReduction:
         active = set(range(count))
         # work copies the columns; at holds every row not yet processed, and
         # processed rows are zero in every active column
-        self.work, at = _indexed_columns(cells, count)
+        self.work, at = _indexed_columns(a.entries.items(), count)
         if self.moduli:
             for j, c in enumerate(self.work):
                 self._reduce(j, list(c), at)
@@ -732,7 +716,7 @@ class FgAbGroup:
     def normal_form(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariant factors d1 | d2 | ..., each >= 2)."""
         if self._nf is None:
-            facs = invariant_factors(self.relations)
+            facs, _ = invariant_factors(self.relations)
             rank = self.ngens - len(facs)
             self._nf = (rank, tuple(sorted(f for f in facs if f > 1)))
         return self._nf
@@ -852,9 +836,6 @@ class AbHom:
         if diff.is_zero():
             return True
         return lattice_contains(self.target.relations, diff)
-
-    def is_zero_hom(self) -> bool:
-        return self.equal_hom(AbHom.zero(self.source, self.target))
 
     def __repr__(self):
         return f"AbHom({self.source!r} -> {self.target!r})"
@@ -1040,7 +1021,7 @@ def subquotient(d_in: AbHom, d_out: AbHom, exact: bool | None = None,
         rank, torsion = SubquotientPresentation(d_in, d_out).group.normal_form
         return FgAbGroup.from_invariants(rank, torsion)
     if factors is None:
-        fin, fout = invariant_factors(d_in.matrix), invariant_factors(d_out.matrix)
+        fin, fout = (invariant_factors(d.matrix)[0] for d in (d_in, d_out))
     else:
         fin, fout = factors()
     copies = middle.ngens - len(fin) - len(fout)

@@ -37,7 +37,7 @@ def _column_update(work, at, j, p, q):
 
 
 def reference_invariant_factors(a, cleared=frozenset()):
-    """(factors, pivots), as invariant_factors(a, cleared, with_pivots=True)."""
+    """(factors, pivots), as invariant_factors(a, cleared)."""
     work = a.columns_as_dicts()
     for j in cleared:
         work[j] = {}

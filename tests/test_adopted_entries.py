@@ -53,13 +53,11 @@ def test_matrix_operations_adopt_valid_entries(data):
     b = data.draw(matrices(a.rows, a.cols))
     c = data.draw(matrices(a.cols))
     d = data.draw(matrices(cols=a.cols))
-    assert_valid(a.transpose(), a)
     assert_valid(-a, a)
     assert_valid(a + b, a, b)
     assert_valid(a + (-a), a)              # every entry cancels
     assert_valid(a - b, a, b)
     assert_valid(a @ c, a, c)
-    assert_valid(a @ a.transpose(), a)
     assert_valid(IntMatrix.hstack_all(a.rows, [a, b, a]), a, b)
     assert_valid(a.hstack(b), a, b)
     for part in IntMatrix.hstack_all(a.rows, [a, b]).split_cols([a.cols, b.cols]):
@@ -104,8 +102,10 @@ def test_stacked_homs_adopt_valid_entries(data):
         homs.append(AbHom(source, FgAbGroup.free(m.rows), m))
     stacked = stack_homs(homs).matrix
     assert_valid(stacked, *(h.matrix for h in homs))
-    assert stacked == IntMatrix.hstack_all(
-        source.ngens, [h.matrix.transpose() for h in homs]).transpose()
+    want = IntMatrix(0, source.ngens)
+    for h in homs:
+        want = want.vstack(h.matrix)
+    assert stacked == want
 
 
 @pytest.mark.parametrize("name", ["c2", "c4", "s3", "c2xc2", "q8"])

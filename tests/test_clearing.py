@@ -96,10 +96,10 @@ def test_cleared_factors_equal_uncleared(name, family_name, label):
         # every complex here vanishes over Z, and degrees run in order, so
         # each differential above degree 0 is cleared by the one below
         assert n == 0 or cleared is not None, where
-        assert factors == invariant_factors(d), where
+        assert factors == invariant_factors(d)[0], where
         minor = pivot_minor(d, pivots)
         assert minor is not None, where
-        assert invariant_factors(minor) == [1] * len(pivots), where
+        assert invariant_factors(minor)[0] == [1] * len(pivots), where
         assert not set(pivots.values()) & set(cleared or ()), where
 
 
@@ -112,8 +112,8 @@ def test_clearing_drops_columns():
     n, d, cleared, (factors, _) = cleared_records(cx, 2, lambda n: True)[-1]
     hit = {j for (_, j) in d.entries if j in cleared}
     assert hit
-    assert factors == invariant_factors(d)
-    assert factors == invariant_factors(without_columns(d, cleared))
+    assert factors == invariant_factors(d)[0]
+    assert factors == invariant_factors(without_columns(d, cleared))[0]
 
 
 def small_differentials(limit=60):
@@ -157,9 +157,9 @@ def test_assembled_differentials_match_sympy_smith_form():
     cleared_cases = 0
     for where, d, cleared in cases:
         expected = sympy_factors(d)
-        assert invariant_factors(d) == expected, where
+        assert invariant_factors(d)[0] == expected, where
         if cleared:
             cleared_cases += 1
-            assert invariant_factors(d, cleared) == expected, where
+            assert invariant_factors(d, cleared)[0] == expected, where
             assert sympy_factors(without_columns(d, cleared)) == expected, where
     assert cleared_cases >= 50, (len(cases), cleared_cases)

@@ -144,6 +144,23 @@ def test_galois_command(capsys):
     assert doc["h3"]["torsion"] == []
 
 
+def test_galois_bounds_the_galois_group_before_building_it(capsys):
+    # H^2 over a family holding the trivial subgroup reads at least its
+    # (n/d - 1)^3 chains of length 3, so past the cap galois exits 3 at once
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "galois", "--p", "2", "--n", "1000",
+                           "--family", "trivial-only")
+    assert code == 3
+    assert json.loads(err)["error"] == {
+        "type": "size-limit",
+        "message": f"enumeration needs {999 ** 3} items, cap is 200000"}
+    assert time.perf_counter() - start < 1
+    # at or below the cap the answer stays
+    code, out, _ = run_cli(capsys, "--size-cap", "3", "galois", "--p", "2",
+                           "--n", "2", "--family", "trivial-only")
+    assert code == 0 and json.loads(out)["all_zero"] is True
+
+
 def test_group_file_from_permutations(capsys, tmp_path):
     path = write_json(tmp_path, "s3.json",
                       {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]})

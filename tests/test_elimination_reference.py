@@ -38,17 +38,17 @@ def unit_heavy_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(unit_heavy_matrices())
 def test_factors_and_pivots_match_reference(a):
-    assert invariant_factors(a, with_pivots=True) == reference_invariant_factors(a)
+    assert invariant_factors(a) == reference_invariant_factors(a)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(unit_heavy_matrices(), st.data())
 def test_cleared_factors_and_pivots_match_reference(a, data):
     cleared = data.draw(st.sets(st.integers(0, max(a.cols - 1, 0)))) if a.cols else set()
-    got = invariant_factors(a, cleared, with_pivots=True)
+    got = invariant_factors(a, cleared)
     assert got == reference_invariant_factors(a, cleared)
     # the same as a dict {row: column}, as _CochainComplex passes it
-    assert invariant_factors(a, dict.fromkeys(cleared), with_pivots=True) == got
+    assert invariant_factors(a, dict.fromkeys(cleared)) == got
 
 
 @pytest.mark.parametrize("name", ["d4", "q8", "c4xc2"])
@@ -64,7 +64,7 @@ def test_cleared_differentials_match_reference(name):
         if below is not None and product_vanishes(d, cx.differential(n - 1).matrix):
             cleared = below[1]
         want = reference_invariant_factors(d, cleared)
-        assert invariant_factors(d, cleared, with_pivots=True) == want
+        assert invariant_factors(d, cleared) == want
         cx._factors(n)
         assert cx._eliminated[n] == want
         below = want

@@ -30,7 +30,7 @@ def test_table_validation():
 def test_cyclic_and_products():
     c6 = FiniteGroup.cyclic(6)
     assert c6.element_order(1) == 6
-    assert c6.inv(2) == 4
+    assert c6.inverse[2] == 4
     k4 = builtin_group("c2xc2")
     assert sorted(k4.element_order(a) for a in range(4)) == [1, 2, 2, 2]
 

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -46,3 +47,33 @@ def test_imports_are_relative_or_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+# BredonComplex.cohomology_presentation(n) is the representatives API:
+# representative(i) is a cocycle for the i-th canonical generator, and
+# class_of, its inverse, reads the canonical coordinates of any cocycle, the
+# one way to name the class of a cocycle built by hand.  No command prints
+# cocycles, so neither has a caller in the package.
+UNCALLED_BY_DESIGN = {"class_of", "representative"}
+
+
+def test_every_definition_is_named_outside_its_def():
+    # one code path per concept: a function or class that neither the
+    # package nor the benchmark names is reached by tests alone
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "orbitcoh").glob("*.py"))
+    defined, named = set(), set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                named.update(node.value.split("."))     # ENTRY_POINTS, __all__
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)) and path in package \
+                    and not re.fullmatch(r"__\w+__", node.name):
+                defined.add(node.name)
+    assert sorted(defined - named - UNCALLED_BY_DESIGN) == []

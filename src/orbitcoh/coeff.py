@@ -19,11 +19,11 @@ from .intlin import (
     FgAbGroup,
     IntMatrix,
     NormalFormMap,
-    block_diag,
+    kernel_of_hom,
     lattice_contains,
-    preimage_generators,
     quotient_presentation,
     solve_exact,
+    stack_homs,
 )
 from .orbitcat import OrbitCategory, OrbitMorphism, canonical_rep
 
@@ -138,18 +138,15 @@ class InvariantSubgroup:
 
     def __init__(self, module: GModule, sub: Subgroup):
         carrier = module.carrier
-        n = carrier.ngens
         gens = sub.generators()
         if gens:
-            stacked = IntMatrix(0, n)
-            for h in gens:
-                stacked = stacked.vstack(module.act(h) - IntMatrix.identity(n))
-            rels = block_diag([carrier.relations] * len(gens))
-            self.generators = preimage_generators(stacked, rels)
+            ident = IntMatrix.identity(carrier.ngens)
+            self.presentation, self.generators = kernel_of_hom(stack_homs(
+                AbHom(carrier, carrier, module.act(h) - ident) for h in gens))
         else:
-            self.generators = IntMatrix.identity(n)
-        self.presentation = quotient_presentation(self.generators,
-                                                  carrier.relations)
+            self.generators = IntMatrix.identity(carrier.ngens)
+            self.presentation = quotient_presentation(self.generators,
+                                                      carrier.relations)
 
 
 def invariants(module: GModule, sub: Subgroup) -> InvariantSubgroup:

@@ -19,17 +19,28 @@ from .bredon import DEFAULT_SIZE_CAP, CohomologyResult, bredon_cohomology
 from .coeff import GModule, fixed_point_functor
 from .errors import BadParametersError, FamilyMissingTrivialError
 from .groups import Family, FiniteGroup
-from .intlin import FgAbGroup, IntMatrix
+from .intlin import FgAbGroup, IntMatrix, _torsion_chain
+
+
+# Miller-Rabin on the primes up to 41 is exact on every n below this bound
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    """Deterministic Miller-Rabin; n at or above PRIME_BOUND is rejected."""
+    if n >= PRIME_BOUND:
+        raise BadParametersError(
+            f"primality is decided only below {PRIME_BOUND}, got {n}")
+    if n < 2 or any(n % q == 0 for q in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d * 2^s, d odd
+    for a in _WITNESSES:
+        x = pow(a, (n - 1) >> s, n)
+        # a witnesses compositeness unless a^d = 1 or some a^(d 2^r) = -1
+        if x not in (1, n - 1) and all(
+                (x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
-        p += 1
     return True
 
 
@@ -90,24 +101,10 @@ class PrimaryParts:
     result: CohomologyResult
     parts: dict[int, tuple[int, ...]]
 
-    def part(self, q: int) -> tuple[int, ...]:
-        return self.parts.get(q, ())
-
     def recombined(self) -> tuple[int, ...]:
         """Invariant factors reassembled from the primary parts."""
-        factors: list[int] = []
-        cols: list[list[int]] = []
-        for q, powers in sorted(self.parts.items()):
-            cols.append(sorted(powers, reverse=True))
-        depth = max((len(c) for c in cols), default=0)
-        out = []
-        for i in range(depth):
-            f = 1
-            for c in cols:
-                if i < len(c):
-                    f *= c[i]
-            out.append(f)
-        return tuple(sorted(out))
+        return tuple(_torsion_chain([e for powers in self.parts.values()
+                                     for e in powers]))
 
 
 def primary_parts(result: CohomologyResult) -> PrimaryParts:
@@ -130,21 +127,19 @@ def primary_parts(result: CohomologyResult) -> PrimaryParts:
     return PrimaryParts(result, {q: tuple(sorted(v)) for q, v in parts.items()})
 
 
-def odd_vanishing_check(p: int, n: int, d: int, family: Family, k: int = 1,
+def odd_vanishing_check(p: int, n: int, d: int, family: Family,
                         size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
-    """Degree 2k+1 cohomology of the unit functor for a closed family.
+    """Degree-3 cohomology of the unit functor for a closed family.
 
     Cyclic groups have all Sylow subgroups cyclic, so every primary part of
     the odd-degree group must vanish; the caller inspects the result.
     """
-    if k < 1:
-        raise BadParametersError("k must be >= 1")
     if not family.contains_trivial():
         raise FamilyMissingTrivialError("family must contain the trivial subgroup")
     if not (family.is_conjugation_closed() and family.is_subgroup_closed()):
         raise BadParametersError("family must be closed under conjugation and subgroups")
     _, family, om = _unit_functor(p, n, d, family)
-    return bredon_cohomology(family, om, 2 * k + 1, size_cap=size_cap)
+    return bredon_cohomology(family, om, 3, size_cap=size_cap)
 
 
 def closed_unit_families(p: int, n: int, d: int):

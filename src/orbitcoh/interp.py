@@ -23,10 +23,13 @@ from .errors import (
 )
 from .groups import Family, FiniteGroup, GroupExtension, Subgroup
 from .intlin import (
+    AbHom,
     FgAbGroup,
     IntMatrix,
-    SmithForm,
+    NormalFormMap,
     block_diag,
+    direct_sum_groups,
+    kernel_of_hom,
     preimage_generators,
     quotient_presentation,
 )
@@ -44,32 +47,26 @@ def _require_trivial(family: Family):
 # Degree 0: the limit of the coefficient diagram
 
 def h0_limit(module: OrbitModule) -> FgAbGroup:
-    """Families (m_H) compatible with every induced map, in normal form."""
+    """Families (m_H) compatible with every induced map, in normal form.
+
+    The kernel of one hom from the sum of the values to one copy of each
+    morphism's source value, (m_H) |-> (map(m_target) - m_source).
+    """
     cat, values = module.cat, module.values
     offs = list(accumulate((v.ngens for v in values), initial=0))
-    total = offs.pop()
-
     rows = 0
     entries = {}
-    slack_blocks = []
     for mat, si, ti in zip(module.maps, cat.m_src, cat.m_tgt):
-        gens_s = values[si].ngens
         for (i, j), v in mat.entries.items():
             entries[(rows + i, offs[ti] + j)] = v
-        for i in range(gens_s):
+        for i in range(values[si].ngens):
             key = (rows + i, offs[si] + i)
-            cur = entries.get(key, 0) - 1
-            if cur:
-                entries[key] = cur
-            elif key in entries:
-                del entries[key]
-        slack_blocks.append(values[si].relations)
-        rows += gens_s
-    constraint = IntMatrix(rows, total, entries)
-    lattice = preimage_generators(constraint, block_diag(slack_blocks))
-    rels = block_diag([v.relations for v in values])
-    group = quotient_presentation(lattice, rels)
-    return FgAbGroup.from_invariants(*group.normal_form)
+            entries[key] = entries.get(key, 0) - 1
+        rows += values[si].ngens
+    constraint = AbHom(direct_sum_groups(values),
+                       direct_sum_groups(values[si] for si in cat.m_src),
+                       IntMatrix(rows, offs[-1], entries))
+    return FgAbGroup.from_invariants(*kernel_of_hom(constraint)[0].normal_form)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +93,7 @@ def f_derivation_quotient(module: GModule, family: Family) -> FgAbGroup:
     def put(block_row, block_col, mat, sign=1):
         for (i, j), v in mat.entries.items():
             key = (block_row + i, block_col + j)
-            cur = entries.get(key, 0) + sign * v
-            if cur:
-                entries[key] = cur
-            elif key in entries:
-                del entries[key]
+            entries[key] = entries.get(key, 0) + sign * v
 
     # cocycle law D(xy) = x.D(y) + D(x)
     for x in range(n):
@@ -610,49 +603,34 @@ class CharacterGroup:
 def character_group(p_sub: Subgroup, family: Family) -> CharacterGroup:
     """{f in Hom(P, Q/Z) : f kills H n P for every family member H}.
 
-    Computed by dualizing the finite quotient of the abelianization of P by
-    the images of all intersections; an element-level enumeration oracle
-    lives in the tests.
+    Computed by dualizing the finite quotient of Z^P by [a] + [g] - [ag] for
+    a in P and g among P's generators, and by [x] for the identity and each
+    x in some H n P.  Those relations span every [a] + [b] - [ab], since b
+    is a positive word in the generators and [a] + [bg] - [abg] is
+    ([a] + [b] - [ab]) + ([ab] + [g] - [abg]) - ([b] + [g] - [bg]).  An
+    element-level enumeration oracle lives in the tests.
     """
     if family.parent is not p_sub.parent:
         raise BadParametersError("family belongs to a different group")
     pgroup, embed = p_sub.as_group()
     pos = {e: i for i, e in enumerate(embed)}
     np = pgroup.order
-    rel_cols = []
-    for a in range(np):
-        for b in range(np):
-            col = {a: 1}
-            col[b] = col.get(b, 0) + 1
-            ab = pgroup.mul(a, b)
-            col[ab] = col.get(ab, 0) - 1
-            rel_cols.append({i: v for i, v in col.items() if v})
-    killed = set()
-    for h in family:
-        for x in h.members:
-            if x in pos:
-                killed.add(pos[x])
-    for i in sorted(killed):
-        rel_cols.append({i: 1})
+    gens = [pos[x] for x in p_sub.generators()]
     entries = {}
-    for j, col in enumerate(rel_cols):
-        for i, v in col.items():
-            entries[(i, j)] = v
-    sf = SmithForm(IntMatrix(np, len(rel_cols), entries))
-    if len(sf.diag) != np:
+    col = 0
+    for a in range(np):
+        for g in gens:
+            for i, v in ((a, 1), (g, 1), (pgroup.mul(a, g), -1)):
+                entries[(i, col)] = entries.get((i, col), 0) + v
+            col += 1
+    killed = {0} | {pos[x] for h in family for x in h.members if x in pos}
+    for i in sorted(killed):
+        entries[(i, col)] = 1
+        col += 1
+    nf = NormalFormMap(FgAbGroup(np, IntMatrix(np, col, entries)))
+    if nf.canonical.rank:
         raise BadParametersError("character quotient of a finite group must be finite")
-
-    tor_rows = [i for i, d in enumerate(sf.diag) if d > 1]
-    gens_of_p = p_sub.generators()
-    generators = []
-    value_table = []
-    for row, d in zip(tor_rows, [sf.diag[i] for i in tor_rows]):
-        vals_all = []
-        for a in range(np):
-            num = sf.u[(row, a)] % d
-            vals_all.append((num, d))
-        value_table.append(vals_all)
-        generators.append([vals_all[pos[x]] for x in gens_of_p])
-    return CharacterGroup(p_sub, family,
-                          FgAbGroup.from_invariants(0, tuple(sorted(sf.diag[i] for i in tor_rows))),
-                          generators, value_table)
+    value_table = [[(nf.to_nf[(k, a)] % d, d) for a in range(np)]
+                   for k, d in enumerate(nf.canonical.torsion)]
+    generators = [[row[g] for g in gens] for row in value_table]
+    return CharacterGroup(p_sub, family, nf.canonical, generators, value_table)

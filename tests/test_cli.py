@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from orbitcoh.cli import main
+from orbitcoh.galoisff import PRIME_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,24 @@ def test_galois_bounds_the_galois_group_before_building_it(capsys):
     assert code == 0 and json.loads(out)["all_zero"] is True
 
 
+def test_galois_decides_a_large_prime_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "galois", "--p", "2305843009213693951",
+                           "--n", "1")
+    assert code == 0
+    assert json.loads(out)["unit_group_order"] == 2305843009213693950
+    assert time.perf_counter() - start < 1
+
+
+def test_galois_past_the_primality_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "galois", "--p", str(PRIME_BOUND),
+                             "--n", "1")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert str(PRIME_BOUND) in error["message"]
+
+
 def test_group_file_from_permutations(capsys, tmp_path):
     path = write_json(tmp_path, "s3.json",
                       {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]})
@@ -168,6 +187,19 @@ def test_group_file_from_permutations(capsys, tmp_path):
                            "--family", "trivial-only")
     assert code == 0
     assert json.loads(out)["torsion"] == [2]
+
+
+def test_characters_on_s5_with_the_cyclic_family(capsys, tmp_path):
+    # S5's abelianization is Z/2, and the cyclic family holds a
+    # transposition, so no character survives
+    path = write_json(tmp_path, "s5.json",
+                      {"degree": 5,
+                       "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]})
+    code, out, _ = run_cli(capsys, "characters", "--group", path,
+                           "--family", "cyclic")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rank"], doc["torsion"], doc["generators"]) == (0, [], [])
 
 
 def test_module_file_with_action(capsys, tmp_path):

@@ -4,6 +4,8 @@ from orbitcoh.bredon import bredon_cohomology
 from orbitcoh.coeff import fixed_point_functor
 from orbitcoh.errors import BadParametersError, FamilyMissingTrivialError
 from orbitcoh.galoisff import (
+    PRIME_BOUND,
+    _is_prime,
     bredon_hilbert90,
     brauer_intersection,
     closed_unit_families,
@@ -12,6 +14,28 @@ from orbitcoh.galoisff import (
     units_gmodule,
 )
 from orbitcoh.groups import Family, full_family, trivial_family
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if _is_prime(n)] == \
+        [n for n in range(20_000) if _trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the prime bases up to 7 and up to 23
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2305843009213693951)
+
+
+def test_is_prime_gives_no_answer_past_its_bound():
+    with pytest.raises(BadParametersError, match=str(PRIME_BOUND)):
+        _is_prime(PRIME_BOUND)
+    assert not _is_prime(PRIME_BOUND - 1)
 
 
 def test_units_gmodule_gf4():
@@ -111,7 +135,5 @@ def test_primary_parts_recombine():
 
     res = CohomologyResult(2, 0, (2, 12, 60))
     pp = primary_parts(res)
-    assert pp.part(2) == (2, 4, 4)
-    assert pp.part(3) == (3, 3)
-    assert pp.part(5) == (5,)
+    assert pp.parts == {2: (2, 4, 4), 3: (3, 3), 5: (5,)}
     assert pp.recombined() == (2, 12, 60)

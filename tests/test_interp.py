@@ -6,7 +6,15 @@ import pytest
 from orbitcoh.bredon import bredon_cohomology
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
 from orbitcoh.errors import FamilyMissingTrivialError
-from orbitcoh.groups import Family, FiniteGroup, builtin_group, full_family, trivial_family
+from orbitcoh.groups import (
+    Family,
+    FiniteGroup,
+    builtin_group,
+    closed_families,
+    full_family,
+    groups_up_to_order,
+    trivial_family,
+)
 from orbitcoh.intlin import FgAbGroup, IntMatrix
 from orbitcoh.interp import (
     FiniteModule,
@@ -306,6 +314,44 @@ def test_character_group_against_enumeration_oracle():
                 cg = character_group(p_sub, fam)
                 oracle = brute_force_characters(p_sub, fam)
                 assert cg.order() == len(oracle), (name, p_sub.members)
+
+
+def assert_character_basis(cg, p_sub, family):
+    """Rows are characters of P killing each H n P, row k of order d_k,
+    spanning prod d_k distinct characters."""
+    pgroup, embed = p_sub.as_group()
+    pos = {e: i for i, e in enumerate(embed)}
+    torsion = cg.group.torsion
+    rows = [[Fraction(n, d) for n, d in row] for row in cg.value_table]
+    assert len(rows) == len(torsion)
+    for row, d in zip(rows, torsion):
+        assert all((row[pgroup.mul(a, b)] - row[a] - row[b]) % 1 == 0
+                   for a in range(pgroup.order) for b in range(pgroup.order))
+        assert all(row[pos[x]] % 1 == 0
+                   for h in family for x in h.members if x in pos)
+        order = next(k for k in range(1, d + 1)
+                     if all((k * v) % 1 == 0 for v in row))
+        assert order == d
+    span = {tuple(sum(c * v for c, v in zip(coeffs, col)) % 1
+                  for col in zip(*rows))
+            for coeffs in product(*(range(d) for d in torsion))}
+    assert len(span) == cg.order()
+
+
+def test_character_group_rows_are_a_basis():
+    for g in groups_up_to_order(12):
+        for fam in closed_families(g):
+            p_sub = g.full_subgroup()
+            assert_character_basis(character_group(p_sub, fam), p_sub, fam)
+    # a proper P: a Klein four subgroup of D6, one of its C2s in the family
+    d6 = builtin_group("d6")
+    p_sub = next(s for s in d6.all_subgroups() if s.size == 4)
+    h = next(s for s in d6.all_subgroups()
+             if s.size == 2 and set(s.members) <= set(p_sub.members))
+    fam = Family(d6, [d6.trivial_subgroup(), h])
+    cg = character_group(p_sub, fam)
+    assert cg.group.normal_form == (0, (2,))
+    assert_character_basis(cg, p_sub, fam)
 
 
 def test_character_generators_kill_intersections():

@@ -4,7 +4,8 @@ The structures and derivations files under tests/pinned/ are the outputs of
 the plain element-by-element search routes; the memoized tables must leave
 every byte unchanged.  The characters files print rows of the tracked Smith
 transform U as generators, so they pin the dense Smith routine's choice of
-U as well as the groups.  The galois and cohomology files come from the
+U, and the relation columns character_group hands it, as well as the
+groups.  The galois and cohomology files come from the
 presentation route of subquotient (coefficients whose d o d vanishes only
 modulo the relations, and a module file with mixed torsion), so they pin
 preimage_generators' results through every later normal form.
@@ -32,6 +33,8 @@ CASES = [
      ["characters", "--group", "s3", "--family", "trivial-only"]),
     ("characters_d4_trivial.json",
      ["characters", "--group", "d4", "--family", "trivial-only"]),
+    ("characters_c6xc2_trivial.json",
+     ["characters", "--group", "c6xc2", "--family", "trivial-only"]),
     ("characters_q8_trivial_sub0123.json",
      ["characters", "--group", "q8", "--family", "trivial-only",
       "--subgroup", "0,1,2,3"]),

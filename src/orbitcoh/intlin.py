@@ -4,13 +4,16 @@ Everything downstream (cochain complexes, invariants, character groups)
 reduces to three primitives over Z: Smith normal form, integer kernels, and
 exact linear solves.  Matrices are stored sparsely because the cochain
 differentials are huge and almost empty.  Sparse matrices are eliminated on
-one column layout (column dicts, a row index of the active columns, one
-column update) with two pivot orders: invariant_factors retires unit pivots
-first, as Dumas, Saunders and Villard (2001) do, and ColumnReduction runs a
-Euclid per row in ascending row order for kernels and solves.  The dense
-Smith routine is only ever fed small matrices (the residual without unit
-entries, presentations, random test inputs); SmithForm reads its
-transforms off a border of the matrix.
+one column layout with two pivot orders: invariant_factors retires unit
+pivots first, as Dumas, Saunders and Villard (2001) do, and ColumnReduction
+runs a Euclid per row in ascending row order for kernels and solves.  The
+layout is column dicts, one column update, and a compact row index: a list
+per row of every column that has held a nonzero there, repeats and columns
+since cancelled or retired included, which readers filter against the
+columns, and an exact count per row of the live columns nonzero in it.
+The dense Smith routine is only ever fed small matrices (the residual
+without unit entries, presentations, random test inputs); SmithForm reads
+its transforms off a border of the matrix.
 """
 
 from __future__ import annotations
@@ -385,38 +388,43 @@ def smith_normal_form(a: IntMatrix):
 # ---------------------------------------------------------------------------
 # Sparse elimination by column operations: invariant factors and kernels
 
-def _indexed_columns(cells, ncols: int, skip=()):
-    """(work, at) in one pass over cells, ((row, col), nonzero) pairs: work[j]
-    maps row to value, in cell order, except for columns in skip, left empty;
-    at[r] holds the columns with a nonzero in row r."""
+def _indexed_columns(cells, nrows: int, ncols: int, skip=()):
+    """(work, at, count) in one pass over cells, ((row, col), nonzero) pairs:
+    work[j] maps row to value, in cell order, except for columns in skip,
+    left empty.  The list at[r] names every column that has held a nonzero
+    in row r: it may repeat a column or name one whose entry has since
+    cancelled or that has retired, so readers check each listed column
+    against work.  count[r] is the number of columns with a nonzero in
+    row r: _column_update keeps it exact, and invariant_factors takes each
+    retired pivot off it, so there it counts the live columns exactly."""
     work = [{} for _ in range(ncols)]
-    at: dict[int, set[int]] = {}
+    at = [[] for _ in range(nrows)]
     for (i, j), v in cells:
         if j not in skip:
             work[j][i] = v
-            if i in at:
-                at[i].add(j)
-            else:
-                at[i] = {j}
-    return work, at
+            at[i].append(j)
+    return work, at, [len(listed) for listed in at]
 
 
-def _column_update(work, at, v, j, p, q):
-    """work[j] -= q * work[p], keeping the row index at; the same on the
-    tracked transform v unless it is None."""
+def _column_update(work, at, count, v, j, p, q):
+    """work[j] -= q * work[p]; an entry filled in appends j to at[rr] and
+    adds one to count[rr], one that cancels takes one off count[rr], and
+    nothing is removed from at.  The same on the tracked transform v unless
+    it is None."""
     wj = work[j]
     for rr, vv in work[p].items():
         old = wj.get(rr)
         if old is None:
             wj[rr] = -q * vv
-            at[rr].add(j)
+            at[rr].append(j)
+            count[rr] += 1
         else:
             nv = old - q * vv
             if nv:
                 wj[rr] = nv
             else:
                 del wj[rr]
-                at[rr].discard(j)
+                count[rr] -= 1
     if v is not None:
         _axpy(v[j], v[p], q)
 
@@ -428,14 +436,16 @@ def invariant_factors(a: IntMatrix, cleared=frozenset()):
 
     Unit pivots are eliminated first, by column operations, sparsest column
     first and, in it, the unit row meeting the fewest active columns (the
-    lowest such row); a retired pivot column is cleared by row operations
-    that touch no other column, so it is dropped.  The (typically tiny)
+    lowest such row), read off count; the columns updated are those that
+    at lists for the pivot row, kept when live and nonzero there.  A
+    retired pivot column is cleared by row operations that touch no other
+    column, so it is dropped and taken off count.  The (typically tiny)
     residual without unit entries reaches the dense routine, transposed.
     Columns in cleared are left out of the elimination: that is exact when
     they are the unit-pivot rows, as found here, of a matrix b with
     a @ b == 0 (see bredon._CochainComplex).
     """
-    work, at = _indexed_columns(a.entries.items(), a.cols, cleared)
+    work, at, count = _indexed_columns(a.entries.items(), a.rows, a.cols, cleared)
     pivots: dict[int, int] = {}
     heap = [(len(c), j) for j, c in enumerate(work) if c]
     heapq.heapify(heap)
@@ -448,19 +458,21 @@ def invariant_factors(a: IntMatrix, cleared=frozenset()):
         r = least = -1
         for rr, v in col.items():
             if v == 1 or v == -1:
-                n = len(at[rr])
+                n = count[rr]
                 if r < 0 or n < least or (n == least and rr < r):
                     r, least, pv = rr, n, v
         if r < 0:
             parked.add(p)
             continue
-        for j in sorted(at[r] - {p}):
-            _column_update(work, at, None, j, p, work[j][r] // pv)
-            parked.discard(j)
-            if work[j]:
-                heapq.heappush(heap, (len(work[j]), j))
+        if count[r] > 1:
+            for j in sorted({j for j in at[r] if j != p and work[j] is not None
+                             and r in work[j]}):
+                _column_update(work, at, count, None, j, p, work[j][r] // pv)
+                parked.discard(j)
+                if work[j]:
+                    heapq.heappush(heap, (len(work[j]), j))
         for rr in col:
-            at[rr].discard(p)
+            count[rr] -= 1
         work[p] = None
         pivots[r] = p
     factors = [1] * len(pivots)
@@ -477,10 +489,14 @@ class ColumnReduction:
     """Unimodular column reduction of an integer matrix, tracking V.
 
     It runs on the column layout of invariant_factors (the column dicts and
-    row index of _indexed_columns and the update of _column_update) with
+    row lists of _indexed_columns and the update of _column_update) with
     another pivot order: rows are processed in ascending order, and each
-    row's active columns are combined by a centered Euclid on that row into
-    one pivot, whatever its value.  After construction the retired pivot
+    row's active columns, the columns listed for it that are still active
+    and nonzero there, are combined by a centered Euclid on that row into
+    one pivot, whatever its value.  A swap in the Euclid lists each column
+    at the rows it gains; reducing modulo m_r and retiring leave the lists
+    as they are, and the per-row counts are not read.  The row lists live
+    only while the constructor runs.  After construction the retired pivot
     columns form a staircase (each has the unique nonzero entry among pivots
     at its pivot row, and zeros at all earlier pivot rows), and every
     non-retired column has been reduced to zero.  That gives the kernel
@@ -503,39 +519,37 @@ class ColumnReduction:
     __slots__ = ("ncols", "work", "v", "pivots", "free", "moduli")
 
     def __init__(self, a: IntMatrix, moduli=None, tracked=None):
-        self.ncols = count = a.cols
+        self.ncols = ncols = a.cols
         if tracked is None:
-            tracked = count
-        self.v = [{j: 1} if j < tracked else {} for j in range(count)]
+            tracked = ncols
+        self.v = [{j: 1} if j < tracked else {} for j in range(ncols)]
         self.moduli = moduli or {}
         self.pivots: list[tuple[int, int]] = []   # (row, col) in retirement order
-        active = set(range(count))
-        # work copies the columns; at holds every row not yet processed, and
-        # processed rows are zero in every active column
-        self.work, at = _indexed_columns(a.entries.items(), count)
+        active = set(range(ncols))
+        # work copies the columns; processed rows are zero in every active
+        # column, and at lists every active column nonzero in a later row
+        self.work, at, count = _indexed_columns(a.entries.items(), a.rows, ncols)
+        work = self.work
         if self.moduli:
-            for j, c in enumerate(self.work):
-                self._reduce(j, list(c), at)
-        for r in sorted(at):
-            cand = sorted(at[r],
-                          key=lambda j: (abs(self.work[j][r]), len(self.work[j]), j))
+            for j, c in enumerate(work):
+                self._reduce(j, list(c))
+        for r, listed in enumerate(at):
+            cand = sorted({j for j in listed if j in active and work[j].get(r)},
+                          key=lambda j: (abs(work[j][r]), len(work[j]), j))
             if cand:
                 p = cand[0]
                 for j in cand[1:]:
-                    self._eliminate(p, j, r, at)
+                    self._eliminate(p, j, r, at, count)
                 if r in self.moduli:
-                    self._fold(p, r, at)
+                    self._fold(p, r)
                 else:
-                    for rr in self.work[p]:
-                        at[rr].discard(p)
                     self.pivots.append((r, p))
                     active.discard(p)
-            del at[r]
         self.free = sorted(active)
 
-    def _reduce(self, j, rows, at):
+    def _reduce(self, j, rows):
         """Center column j's entries at rows modulo their moduli, deleting
-        zeros from the column and from the row index at."""
+        zeros."""
         col, mod = self.work[j], self.moduli
         for rr in rows:
             m = mod.get(rr)
@@ -551,37 +565,31 @@ class ColumnReduction:
                 col[rr] = x
             else:
                 del col[rr]
-                at[rr].discard(j)
 
-    def _fold(self, p, r, at):
+    def _fold(self, p, r):
         m = self.moduli[r]
         col = self.work[p]
         k = m // gcd(col.pop(r), m)
         for rr in col:
             col[rr] *= k
-        self._reduce(p, list(col), at)
+        self._reduce(p, list(col))
         vp = self.v[p]
         for i in vp:
             vp[i] *= k
 
-    def _eliminate(self, p, j, r, at):
+    def _eliminate(self, p, j, r, at, count):
         work, v = self.work, self.v
         while work[j].get(r):
             q = _centered_quotient(work[j][r], work[p][r])
             if q:
-                _column_update(work, at, v, j, p, q)
+                _column_update(work, at, count, v, j, p, q)
                 if self.moduli:
-                    self._reduce(j, work[p], at)
+                    self._reduce(j, work[p])
             if work[j].get(r):
                 work[p], work[j] = work[j], work[p]
                 v[p], v[j] = v[j], v[p]
                 for rr in work[p].keys() ^ work[j].keys():
-                    if rr in work[p]:
-                        at[rr].discard(j)
-                        at[rr].add(p)
-                    else:
-                        at[rr].discard(p)
-                        at[rr].add(j)
+                    at[rr].append(p if rr in work[p] else j)
 
     def kernel_vectors(self) -> list[dict]:
         return [self.v[j] for j in self.free]

@@ -1,15 +1,19 @@
-"""invariant_factors as it was before its set-up was fused, as a reference.
+"""The two sparse eliminations of intlin on a row index of sets, as references.
 
-This version builds the column dicts and the row index in two passes
-(columns_as_dicts, then a row index of sets) and picks each unit pivot with
-min over the unit rows, keyed by (active columns in the row, row).  The
-library builds both in one pass and picks the pivot in one loop; the two
-must agree on every factor and on every pivot, which is what clearing reads.
+reference_invariant_factors builds the column dicts and the row index in two
+passes (columns_as_dicts, then one set of the active columns per row) and
+picks each unit pivot with min over the unit rows, keyed by (active columns
+in the row, row).  ReferenceColumnReduction is ColumnReduction on the same
+kind of index, kept exact through every update, fold and swap.  The library
+lists columns per row without removing any and filters them when it reads
+a row; the two must agree on every factor, pivot, kernel vector and column,
+in order, which is what clearing and the lattice routines read.
 """
 
 import heapq
+from math import gcd
 
-from orbitcoh.intlin import _snf_dense
+from orbitcoh.intlin import _axpy, _centered_quotient, _snf_dense
 
 
 def _row_index(work):
@@ -20,7 +24,7 @@ def _row_index(work):
     return at
 
 
-def _column_update(work, at, j, p, q):
+def _column_update(work, at, j, p, q, v=None):
     wj = work[j]
     for rr, vv in work[p].items():
         old = wj.get(rr)
@@ -34,6 +38,8 @@ def _column_update(work, at, j, p, q):
             else:
                 del wj[rr]
                 at[rr].discard(j)
+    if v is not None:
+        _axpy(v[j], v[p], q)
 
 
 def reference_invariant_factors(a, cleared=frozenset()):
@@ -73,3 +79,89 @@ def reference_invariant_factors(a, cleared=frozenset()):
         dense = [[work[j].get(r, 0) for r in row_ids] for j in live]
         factors.extend(_snf_dense(dense, len(live), len(row_ids)))
     return factors, pivots
+
+
+class ReferenceColumnReduction:
+    """ColumnReduction(a, moduli, tracked) on a row index of sets: at[r]
+    holds exactly the active columns with a nonzero in row r."""
+
+    def __init__(self, a, moduli=None, tracked=None):
+        self.ncols = count = a.cols
+        if tracked is None:
+            tracked = count
+        self.v = [{j: 1} if j < tracked else {} for j in range(count)]
+        self.moduli = moduli or {}
+        self.pivots = []
+        active = set(range(count))
+        self.work = [{} for _ in range(count)]
+        at = {}
+        for (i, j), x in a.entries.items():
+            self.work[j][i] = x
+            at.setdefault(i, set()).add(j)
+        if self.moduli:
+            for j, c in enumerate(self.work):
+                self._reduce(j, list(c), at)
+        for r in sorted(at):
+            cand = sorted(at[r],
+                          key=lambda j: (abs(self.work[j][r]), len(self.work[j]), j))
+            if cand:
+                p = cand[0]
+                for j in cand[1:]:
+                    self._eliminate(p, j, r, at)
+                if r in self.moduli:
+                    self._fold(p, r, at)
+                else:
+                    for rr in self.work[p]:
+                        at[rr].discard(p)
+                    self.pivots.append((r, p))
+                    active.discard(p)
+            del at[r]
+        self.free = sorted(active)
+
+    def _reduce(self, j, rows, at):
+        col, mod = self.work[j], self.moduli
+        for rr in rows:
+            m = mod.get(rr)
+            if m is None:
+                continue
+            x = col.get(rr)
+            if x is None or -m < 2 * x <= m:
+                continue
+            x %= m
+            if 2 * x > m:
+                x -= m
+            if x:
+                col[rr] = x
+            else:
+                del col[rr]
+                at[rr].discard(j)
+
+    def _fold(self, p, r, at):
+        m = self.moduli[r]
+        col = self.work[p]
+        k = m // gcd(col.pop(r), m)
+        for rr in col:
+            col[rr] *= k
+        self._reduce(p, list(col), at)
+        vp = self.v[p]
+        for i in vp:
+            vp[i] *= k
+
+    def _eliminate(self, p, j, r, at):
+        work, v = self.work, self.v
+        while work[j].get(r):
+            q = _centered_quotient(work[j][r], work[p][r])
+            if q:
+                _column_update(work, at, j, p, q, v)
+                if self.moduli:
+                    self._reduce(j, work[p], at)
+            if work[j].get(r):
+                work[p], work[j] = work[j], work[p]
+                v[p], v[j] = v[j], v[p]
+                for rr in work[p].keys() ^ work[j].keys():
+                    if rr in work[p]:
+                        at[rr].discard(j)
+                        at[rr].add(p)
+                    else:
+                        at[rr].discard(p)
+                        at[rr].add(j)

@@ -2,18 +2,26 @@
 
 ColumnReduction finds each row's pivot through an index of the active
 columns per row; the reference below is the plain scan over every active
-column that it replaced, kept here only as an oracle.  invariant_factors is
-checked against sympy's Smith normal form (skipped without sympy).
+column that it replaced, kept here only as an oracle.  With row moduli it is
+checked against elimination_reference.ReferenceColumnReduction, which keeps
+its row index exact as sets, on random matrices and on the [A | R] inputs
+of the Galois unit cohomology.  invariant_factors is checked against
+sympy's Smith normal form (skipped without sympy).
 """
 
 import importlib.util
 
 import pytest
 
+from elimination_reference import ReferenceColumnReduction
+from orbitcoh import intlin
+from orbitcoh.galoisff import (
+    bredon_hilbert90, brauer_intersection, odd_vanishing_check, units_gmodule)
+from orbitcoh.groups import trivial_family
 from orbitcoh.intlin import ColumnReduction, IntMatrix, invariant_factors
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def _centered_quotient(a, b):
@@ -116,6 +124,46 @@ def test_a_matrix_reduces_as_its_column_dicts(a, tracked, moduli):
     assert [list(c.items()) for c in got.work] \
         == [list(c.items()) for c in want.work]
     assert a.entries == entries == by_columns.entries
+
+
+def _assert_reduces_as_reference(a, moduli, tracked):
+    got = ColumnReduction(a, moduli=moduli, tracked=tracked)
+    want = ReferenceColumnReduction(a, moduli=moduli, tracked=tracked)
+    assert (got.pivots, got.free) == (want.pivots, want.free)
+    for mine, theirs in ((got.work, want.work), (got.v, want.v)):
+        assert [list(c.items()) for c in mine] \
+            == [list(c.items()) for c in theirs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_matrices(), st.integers(0, 9),
+       st.sampled_from([None, {}, {0: 4, 2: 3, 5: 6}]))
+# the Euclid at row 0 swaps the pivot into row 1, which it keeps once folded
+@example(IntMatrix.from_rows([[2, 3], [0, 1]]), 2, {0: 7})
+def test_reduction_with_moduli_matches_set_indexed_reference(a, tracked, moduli):
+    _assert_reduces_as_reference(a, moduli, min(tracked, a.cols))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_galois_preimages_reduce_as_set_indexed_reference(p, monkeypatch):
+    # the [A | R] inputs of preimage_generators, the only caller that
+    # passes tracked, for galois --p p --n 4 --family trivial-only
+    seen = []
+
+    class Recording(ColumnReduction):
+        def __init__(self, a, moduli=None, tracked=None):
+            if tracked is not None:
+                seen.append((a, moduli, tracked))
+            super().__init__(a, moduli, tracked)
+
+    monkeypatch.setattr(intlin, "ColumnReduction", Recording)
+    family = trivial_family(units_gmodule(p, 4, 1).group)
+    for degree_route in (bredon_hilbert90, brauer_intersection, odd_vanishing_check):
+        degree_route(p, 4, 1, family)
+    monkeypatch.undo()
+    assert any(moduli for _, moduli, _ in seen)
+    for a, moduli, tracked in seen:
+        _assert_reduces_as_reference(a, moduli, tracked)
 
 
 def test_indexed_pivot_search_matches_reference_scan_at_scale():

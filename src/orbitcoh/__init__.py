@@ -35,7 +35,6 @@ from .galoisff import (
 from .groups import (
     Family,
     FiniteGroup,
-    GroupExtension,
     Subgroup,
     builtin_group,
     closed_families,
@@ -44,7 +43,6 @@ from .groups import (
     fixed_point_free_prime_power_element,
     full_family,
     groups_up_to_order,
-    is_homomorphism,
     trivial_family,
 )
 from .interp import (
@@ -74,16 +72,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AbHom", "BarComplex", "BredonComplex", "CharacterGroup",
     "CohomologyResult", "FDerivation", "FStructureClass", "FStructureWitness",
-    "Family", "FgAbGroup", "FiniteGroup", "GModule", "GroupExtension",
-    "IntMatrix", "InvariantSubgroup", "OrbitModule", "OrbitMorphism",
-    "Subgroup", "bar_cohomology", "bredon_cohomology", "bredon_hilbert90",
+    "Family", "FgAbGroup", "FiniteGroup", "GModule", "IntMatrix",
+    "InvariantSubgroup", "OrbitModule", "OrbitMorphism", "Subgroup",
+    "bar_cohomology", "bredon_cohomology", "bredon_hilbert90",
     "brauer_intersection", "builtin_group", "character_group",
     "closed_families", "compose", "constant_orbit_module", "cyclic_family",
-    "enumerate_f_structures", "f_derivation_quotient",
-    "family_close", "fixed_point_free_prime_power_element",
-    "fixed_point_functor", "full_family", "groups_up_to_order", "h0_limit",
-    "invariants", "is_homomorphism", "kernel_basis",
-    "morphisms", "odd_vanishing_check", "primary_parts",
+    "enumerate_f_structures", "f_derivation_quotient", "family_close",
+    "fixed_point_free_prime_power_element", "fixed_point_functor",
+    "full_family", "groups_up_to_order", "h0_limit", "invariants",
+    "kernel_basis", "morphisms", "odd_vanishing_check", "primary_parts",
     "restrict_module", "restriction_kernel_intersection", "sign_modules",
     "smith_normal_form", "solve_exact", "splittings_mod_conjugacy",
     "subquotient", "trivial_family", "units_gmodule",

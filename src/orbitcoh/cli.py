@@ -65,7 +65,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # bad JSON, UTF-8 or digit count
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path} must hold a JSON object")
@@ -212,8 +212,11 @@ def parse_degrees(source: str, cap: int) -> range:
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", source)
     if not m:
         raise SchemaError("degrees must look like '2' or '0..3'")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    try:
+        lo = int(m.group(1))
+        hi = int(m.group(2)) if m.group(2) else lo
+    except ValueError as exc:   # past the interpreter's integer digit limit
+        raise SchemaError(f"degrees: {exc}") from exc
     if hi < lo:
         raise SchemaError(f"degree range {source!r} is empty")
     if hi - lo + 1 > cap:

@@ -91,9 +91,8 @@ class GModule:
         n = carrier.ngens
         acts: dict[int, IntMatrix] = {0: IntMatrix.identity(n)}
         frontier = [0]
-        gen_map = dict(zip(generators, matrices))
         for x in frontier:
-            for s, ms in gen_map.items():
+            for s, ms in zip(generators, matrices):
                 y = group.mul(x, s)
                 candidate = acts[x] @ ms
                 if y in acts:
@@ -174,13 +173,6 @@ class OrbitModule:
         self.source_gmodule = source_gmodule
         if validate:
             self.validate()
-
-    def value(self, sub: Subgroup) -> FgAbGroup:
-        """The value at a family member: its object's, M^{xHx^-1} = M^H."""
-        got = self.cat.rep_of.get(sub.members)
-        if got is None or sub.parent is not self.cat.group:
-            raise BadParametersError(f"{sub.members} is not a family member")
-        return self.values[got[0]]
 
     def map_matrix(self, m: OrbitMorphism) -> IntMatrix:
         return self.maps[self.cat.morphism_id(m)]

@@ -13,6 +13,8 @@ degrees vanish for cyclic groups.  All three are computed here, not assumed.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .bredon import DEFAULT_SIZE_CAP, CohomologyResult, bredon_cohomology
@@ -50,6 +52,10 @@ def units_gmodule(p: int, n: int, d: int) -> GModule:
         raise BadParametersError(f"{p} is not prime")
     if n < 1 or d < 1 or n % d != 0:
         raise BadParametersError("need d | n with both positive")
+    limit = sys.get_int_max_str_digits()
+    if limit and n >= limit / math.log10(p):     # p^n - 1 has > limit digits
+        raise BadParametersError(
+            f"p^n - 1 must have at most {limit} digits to be printed")
     order = n // d
     group = FiniteGroup.cyclic(order)
     modulus = p ** n - 1

@@ -74,11 +74,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a]
-                   for a in range(self.order) for b in range(self.order))
-
     def __len__(self):
         return self.order
 
@@ -423,20 +418,6 @@ def closed_families(group: FiniteGroup) -> list[Family]:
     return out
 
 
-def is_homomorphism(mapping, source: FiniteGroup, target: FiniteGroup) -> bool:
-    """Whether mapping (a sequence indexed by source elements) is a hom."""
-    mapping = tuple(mapping)
-    if len(mapping) != source.order:
-        return False
-    if any(not 0 <= v < target.order for v in mapping):
-        return False
-    for a in range(source.order):
-        for b in range(source.order):
-            if mapping[source.table[a][b]] != target.table[mapping[a]][mapping[b]]:
-                return False
-    return True
-
-
 def _is_prime_power(n: int) -> bool:
     if n < 2:
         return False
@@ -468,41 +449,6 @@ def fixed_point_free_prime_power_element(group: FiniteGroup, sub: Subgroup) -> i
             return g
     raise SearchExhaustedError(
         "no fixed-point-free prime-power element; input violates the hypothesis")
-
-
-@dataclass
-class GroupExtension:
-    """Extension of ``quotient`` by the abelian group ``kernel``.
-
-    kernel_embedding maps kernel indices into total; projection maps total
-    onto quotient.  Exactness and normality are verified, not assumed.
-    """
-
-    total: FiniteGroup
-    kernel: FiniteGroup
-    quotient: FiniteGroup
-    kernel_embedding: tuple[int, ...]
-    projection: tuple[int, ...]
-
-    def validate(self):
-        if not self.kernel.is_abelian():
-            raise BadParametersError("kernel must be abelian")
-        if not is_homomorphism(self.kernel_embedding, self.kernel, self.total):
-            raise BadParametersError("kernel embedding is not a homomorphism")
-        if len(set(self.kernel_embedding)) != self.kernel.order:
-            raise BadParametersError("kernel embedding is not injective")
-        if not is_homomorphism(self.projection, self.total, self.quotient):
-            raise BadParametersError("projection is not a homomorphism")
-        if set(self.projection) != set(range(self.quotient.order)):
-            raise BadParametersError("projection is not surjective")
-        image = set(self.kernel_embedding)
-        ker = {x for x in range(self.total.order) if self.projection[x] == 0}
-        if image != ker:
-            raise BadParametersError("kernel image differs from projection kernel")
-        for x in range(self.total.order):
-            for m in image:
-                if self.total.conj(x, m) not in image:
-                    raise BadParametersError("kernel image is not normal")
 
 
 # Shipped catalog of small groups (deterministic constructions).

@@ -21,7 +21,7 @@ from .errors import (
     FamilyMissingTrivialError,
     SizeLimitError,
 )
-from .groups import Family, FiniteGroup, GroupExtension, Subgroup
+from .groups import Family, Subgroup
 from .intlin import (
     AbHom,
     FgAbGroup,
@@ -243,9 +243,6 @@ class FDerivation:
     values: tuple            # per group element, an element tuple of M
     witnesses: tuple         # per family member, the m with D|_H = D_m
 
-    def value(self, g: int):
-        return self.values[g]
-
 
 @dataclass
 class SplittingClasses:
@@ -391,43 +388,10 @@ class FStructureWitness:
                         return False
         return True
 
-    def extension(self) -> GroupExtension:
-        """The extension as a validated Cayley-table group."""
-        fm = self.fm
-        g = fm.group
-        n = g.order
-        elems = fm.elements()
-        idx = {(a, x): fm.index(a) * n + x for a in elems for x in range(n)}
-        order = fm.size * n
-        table = [[0] * order for _ in range(order)]
-        for a in elems:
-            for x in range(n):
-                for b in elems:
-                    for y in range(n):
-                        table[idx[(a, x)]][idx[(b, y)]] = idx[self.mul((a, x), (b, y))]
-        total = FiniteGroup(table, name="extension", validate=False)
-        kernel = _module_as_group(fm)
-        embedding = tuple(fm.index(a) * n for a in elems)
-        projection = tuple(i % n for i in range(order))
-        ext = GroupExtension(total=total, kernel=kernel, quotient=g,
-                             kernel_embedding=embedding, projection=projection)
-        ext.validate()
-        return ext
-
     def lift_key(self):
         return tuple(
             tuple(sorted((self.fm.index(a), x) for (a, x) in self.lifts[s.members]))
             for s in self.family)
-
-
-def _module_as_group(fm: FiniteModule) -> FiniteGroup:
-    elems = fm.elements()
-    idx = {a: fm.index(a) for a in elems}
-    table = [[0] * fm.size for _ in range(fm.size)]
-    for a in elems:
-        for b in elems:
-            table[idx[a]][idx[b]] = idx[fm.add_table[a, b]]
-    return FiniteGroup(table, name="module", validate=False)
 
 
 @dataclass

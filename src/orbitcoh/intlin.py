@@ -832,12 +832,6 @@ class AbHom:
             return True
         return lattice_contains(self.target.relations, image)
 
-    def compose(self, earlier: AbHom) -> AbHom:
-        """self after earlier (matrix product self.matrix @ earlier.matrix)."""
-        if not earlier.target.same_presentation(self.source):
-            raise ChainMismatchError("compose: inner presentations differ")
-        return AbHom(earlier.source, self.target, self.matrix @ earlier.matrix)
-
     def equal_hom(self, other: AbHom) -> bool:
         """Equality as maps (difference lands in the target relations)."""
         diff = self.matrix - other.matrix

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -339,6 +340,82 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, flag, doc):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "validation"
+
+
+# CPython refuses int <-> str conversions past 4,300 digits by default
+PAST_DIGIT_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("flag", ["--group", "--family", "--module"])
+@pytest.mark.parametrize("text", [
+    pytest.param(b'{"rank": 1, "torsion": [\xff]}', id="not-utf8"),
+    pytest.param(b'{"rank": ' + PAST_DIGIT_LIMIT.encode() + b"}",
+                 id="long-integer"),
+])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, flag, text):
+    args = {"--group": "c2", "--family": "full", "--module": "z-trivial"}
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    args[flag] = str(path)
+    argv = ["cohomology", "--degrees", "0"]
+    for key, value in args.items():
+        argv += [key, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith("cannot read")
+
+
+@pytest.mark.parametrize("degrees", [
+    pytest.param(PAST_DIGIT_LIMIT, id="degree"),
+    pytest.param("0.." + PAST_DIGIT_LIMIT, id="range-end"),
+])
+def test_degrees_past_the_digit_limit_exit_2(capsys, degrees):
+    code, out, err = run_cli(capsys, "cohomology", "--group", "c2",
+                             "--family", "full", "--module", "z-trivial",
+                             "--degrees", degrees)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+def test_galois_unit_group_order_past_the_digit_limit_exits_2(capsys):
+    # 2^20000 - 1 has 6,021 digits, so unit_group_order could not print;
+    # 2^14284 - 1 has 4,300 and still answers
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "galois", "--p", "2", "--n", "20000",
+                             "--d", "20000")
+    assert code == 2 and out == ""
+    assert "digits" in json.loads(err)["error"]["message"]
+    assert time.perf_counter() - start < 1
+    code, out, _ = run_cli(capsys, "galois", "--p", "2", "--n", "14284",
+                           "--d", "14284")
+    assert code == 0
+    assert json.loads(out)["unit_group_order"] == 2 ** 14284 - 1
+
+
+@pytest.mark.parametrize("matrices", [[[[3]], [[1]]], [[[1]], [[3]]]])
+def test_repeated_generator_with_other_matrix_exits_2(capsys, tmp_path,
+                                                      matrices):
+    mod = write_json(tmp_path, "twice.json",
+                     {"rank": 0, "torsion": [4],
+                      "action": {"generators": [1, 1], "matrices": matrices}})
+    code, out, err = run_cli(capsys, "cohomology", "--group", "c2",
+                             "--family", "trivial-only", "--module", mod,
+                             "--degrees", "0")
+    assert code == 2 and out == ""
+    assert "inconsistent" in json.loads(err)["error"]["message"]
+
+
+def test_repeated_generator_with_equal_matrix_answers(capsys, tmp_path):
+    mod = write_json(tmp_path, "twice.json",
+                     {"rank": 0, "torsion": [4],
+                      "action": {"generators": [1, 1],
+                                 "matrices": [[[3]], [[3]]]}})
+    code, out, _ = run_cli(capsys, "cohomology", "--group", "c2",
+                           "--family", "trivial-only", "--module", mod,
+                           "--degrees", "0")
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"degree": 0, "rank": 0, "torsion": [2]}]
 
 
 def test_output_into_missing_directory_exits_2(capsys, tmp_path):

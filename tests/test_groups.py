@@ -4,14 +4,12 @@ from orbitcoh.errors import BadParametersError, SingletonActionError
 from orbitcoh.groups import (
     Family,
     FiniteGroup,
-    GroupExtension,
     builtin_group,
     closed_families,
     family_close,
     fixed_point_free_prime_power_element,
     full_family,
     groups_up_to_order,
-    is_homomorphism,
     trivial_family,
 )
 
@@ -105,15 +103,6 @@ def test_closed_families_counts():
         assert fam.is_subgroup_closed()
 
 
-def test_is_homomorphism_examples():
-    c4 = FiniteGroup.cyclic(4)
-    c2 = FiniteGroup.cyclic(2)
-    assert is_homomorphism(range(4), c4, c4)
-    assert is_homomorphism([0, 0, 0, 0], c4, c2)
-    assert is_homomorphism([0, 1, 0, 1], c4, c2)     # quotient map
-    assert not is_homomorphism([0, 1, 1, 0], c4, c2)
-
-
 def test_fixed_point_free_examples():
     g = s3()
     t = next(a for a in range(1, 6) if g.element_order(a) == 2)
@@ -140,20 +129,6 @@ def test_fixed_point_free_lemma_exhaustive_order_12():
             mem = set(h.members)
             assert all(g.conj(x, elt) not in mem
                        for x in h.left_coset_representatives())
-
-
-def test_group_extension_validation():
-    # C4 as an extension of C2 by C2
-    c4 = FiniteGroup.cyclic(4)
-    c2 = FiniteGroup.cyclic(2)
-    ext = GroupExtension(total=c4, kernel=c2, quotient=c2,
-                         kernel_embedding=(0, 2), projection=(0, 1, 0, 1))
-    ext.validate()
-    assert [x for x in range(4) if ext.projection[x] == 1] == [1, 3]
-    bad = GroupExtension(total=c4, kernel=c2, quotient=c2,
-                         kernel_embedding=(0, 1), projection=(0, 1, 0, 1))
-    with pytest.raises(BadParametersError):
-        bad.validate()
 
 
 def test_trivial_and_full_families():

@@ -10,14 +10,12 @@ layer exercises the vanishing statements for unit coefficients.
 from .bredon import (
     BarComplex,
     BredonComplex,
-    CohomologyResult,
     bar_cohomology,
     bredon_cohomology,
     restriction_kernel_intersection,
 )
 from .coeff import (
     GModule,
-    InvariantSubgroup,
     OrbitModule,
     constant_orbit_module,
     fixed_point_functor,
@@ -70,10 +68,10 @@ from .orbitcat import OrbitMorphism, compose, morphisms
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup",
-    "CohomologyResult", "FDerivation", "FStructureClass", "FStructureWitness",
-    "Family", "FgAbGroup", "FiniteGroup", "GModule", "IntMatrix",
-    "InvariantSubgroup", "OrbitModule", "OrbitMorphism", "Subgroup",
+    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup", "FDerivation",
+    "FStructureClass", "FStructureWitness", "Family", "FgAbGroup",
+    "FiniteGroup", "GModule", "IntMatrix", "OrbitModule", "OrbitMorphism",
+    "Subgroup",
     "bar_cohomology", "bredon_cohomology", "bredon_hilbert90",
     "brauer_intersection", "builtin_group", "character_group",
     "closed_families", "compose", "constant_orbit_module", "cyclic_family",

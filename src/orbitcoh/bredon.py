@@ -29,7 +29,6 @@ test, not a shortcut).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .coeff import GModule, OrbitModule
@@ -51,35 +50,6 @@ from .intlin import (
 from .orbitcat import DEFAULT_CHAIN_CAP, ChainTable
 
 DEFAULT_SIZE_CAP = DEFAULT_CHAIN_CAP
-
-
-@dataclass
-class CohomologyResult:
-    """Normal form of one cohomology group."""
-
-    degree: int
-    rank: int
-    torsion: tuple[int, ...]
-
-    @property
-    def group(self) -> FgAbGroup:
-        return FgAbGroup.from_invariants(self.rank, self.torsion)
-
-    def order(self):
-        return self.group.order()
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    def normal_form(self):
-        return (self.rank, self.torsion)
-
-    def __str__(self):
-        return str(self.group)
-
-    def to_json(self):
-        return {"degree": self.degree, "rank": self.rank,
-                "torsion": list(self.torsion)}
 
 
 class _CochainComplex:
@@ -149,12 +119,12 @@ class _CochainComplex:
         representative(i) and its inverse class_of(vec)."""
         return SubquotientPresentation(*self._differentials_at(degree))
 
-    def cohomology(self, degree: int) -> CohomologyResult:
+    def cohomology(self, degree: int) -> FgAbGroup:
+        """H^degree, canonical (FgAbGroup.from_invariants)."""
         # d^{degree-1} is eliminated first, so d^degree can be cleared
-        group = subquotient(
+        return subquotient(
             *self._differentials_at(degree), self._dd_vanishes(degree),
             lambda: (self._factors(degree - 1), self._factors(degree)))
-        return CohomologyResult(degree, *group.normal_form)
 
 
 class BredonComplex(_CochainComplex):
@@ -236,7 +206,7 @@ class BredonComplex(_CochainComplex):
 
 
 def bredon_cohomology(family: Family, module: OrbitModule, degree: int,
-                      size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+                      size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
     return BredonComplex(family, module, size_cap).cohomology(degree)
 
 
@@ -311,24 +281,12 @@ class BarComplex(_CochainComplex):
 
 
 def bar_cohomology(module: GModule, degree: int,
-                   size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+                   size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
     return BarComplex(module, size_cap).cohomology(degree)
 
 
 # ---------------------------------------------------------------------------
 # Kernels of restriction maps on ordinary cohomology
-
-@dataclass
-class RestrictionIntersection(CohomologyResult):
-    """Classes of H^n(G, M) restricting to zero on every family member.
-
-    For degree 2 the comparison with the orbit-category group is only
-    meaningful under the vanishing hypothesis on first cohomology of the
-    conjugation closure; h1_hypothesis records the checked outcome.
-    """
-
-    h1_hypothesis: bool | None = None
-
 
 def _bar_restriction_matrix(bar_g: BarComplex, bar_h: BarComplex,
                             embed, degree: int) -> IntMatrix:
@@ -348,8 +306,15 @@ def _bar_restriction_matrix(bar_g: BarComplex, bar_h: BarComplex,
 def restriction_kernel_intersection(module: GModule, family: Family,
                                     degree: int,
                                     size_cap: int = DEFAULT_SIZE_CAP
-                                    ) -> RestrictionIntersection:
-    """Intersection over the family of restriction kernels in H^degree(G, M)."""
+                                    ) -> tuple[FgAbGroup, bool | None]:
+    """Intersection over the family of restriction kernels in H^degree(G, M),
+    the classes restricting to zero on every family member.
+
+    Returned with h1_hypothesis: None at degree 1.  At degree 2 the
+    comparison with the orbit-category group is only meaningful under the
+    vanishing of first cohomology on the conjugation closure of the family;
+    h1_hypothesis is the checked outcome.
+    """
     if degree not in (1, 2):
         raise BadParametersError("only degrees 1 and 2 are interpreted")
     if family.parent is not module.group:
@@ -372,17 +337,8 @@ def restriction_kernel_intersection(module: GModule, family: Family,
                 "induced restriction map failed to respect boundaries")
         homs.append(induced)
 
-    stacked = stack_homs(homs)
-    kernel_group, _ = kernel_of_hom(stacked)
-
-    hypothesis = None
-    if degree == 2:
-        closure = family_close(family, under_conjugation=True)
-        hypothesis = True
-        for sub in closure:
-            msub, _ = module.restrict_to(sub)
-            if not bar_cohomology(msub, 1, size_cap).is_trivial():
-                hypothesis = False
-                break
-    return RestrictionIntersection(degree, *kernel_group.normal_form, hypothesis)
-
+    kernel, _ = kernel_of_hom(stack_homs(homs))
+    hypothesis = None if degree == 1 else all(
+        bar_cohomology(module.restrict_to(sub)[0], 1, size_cap).is_trivial()
+        for sub in family_close(family, under_conjugation=True))
+    return FgAbGroup.from_invariants(*kernel.normal_form), hypothesis

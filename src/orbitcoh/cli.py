@@ -191,7 +191,10 @@ def load_module(source: str, group: FiniteGroup) -> GModule:
     match = _MODULE_NAME.match(source)
     if match:
         if match.group(1):
-            n = int(match.group(1))
+            try:
+                n = int(match.group(1))
+            except ValueError as exc:   # past the interpreter's integer digit limit
+                raise SchemaError(f"torsion modulus: {exc}") from exc
             if n < 2:
                 raise SchemaError("torsion modulus must be >= 2")
             return GModule.trivial(group,
@@ -236,6 +239,11 @@ def _emit(doc: dict, output: str | None):
         sys.stdout.write(text)
 
 
+def _at(degree: int, group: FgAbGroup) -> dict:
+    """A computed group's JSON, with the degree it sits in."""
+    return {"degree": degree, **group.to_json()}
+
+
 def _is_trivial_z(module: GModule) -> bool:
     if module.carrier.normal_form != (1, ()):
         return False
@@ -255,7 +263,7 @@ def cmd_cohomology(args) -> int:
     failed = False
     for deg in degrees:
         res = cx.cohomology(deg)
-        results.append(res.to_json())
+        results.append(_at(deg, res))
         if not args.check:
             continue
         if deg == 0:
@@ -268,7 +276,7 @@ def cmd_cohomology(args) -> int:
             direct = character_group(group.full_subgroup(), family).group
         else:
             continue
-        ok = direct.normal_form == res.normal_form()
+        ok = direct.normal_form == res.normal_form
         checks.append({"degree": deg, "method": method,
                        "expected": direct.to_json(), "passed": ok})
         failed |= not ok
@@ -286,7 +294,7 @@ def cmd_oracle(args) -> int:
     module = load_module(args.module, group)
     degrees = parse_degrees(args.degrees, args.size_cap)
     bar = BarComplex(module, size_cap=args.size_cap)
-    results = [bar.cohomology(deg).to_json() for deg in degrees]
+    results = [_at(deg, bar.cohomology(deg)) for deg in degrees]
     _emit({"command": "oracle", "group": group.name, "results": results},
           args.output)
     return 0
@@ -331,14 +339,14 @@ def cmd_derivations(args) -> int:
            "family": [list(s.members) for s in family],
            "derivation_quotient": quotient.to_json()}
     if module.carrier.is_finite():
-        split = splittings_mod_conjugacy(module, family, cap=args.size_cap)
-        doc["splitting_classes"] = split.count
+        doc["splitting_classes"] = len(
+            splittings_mod_conjugacy(module, family, cap=args.size_cap))
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
         h1 = bredon_cohomology(family, om, 1, size_cap=args.size_cap)
-        doc["h1"] = h1.to_json()
-        failed = h1.normal_form() != quotient.normal_form
+        doc["h1"] = _at(1, h1)
+        failed = h1.normal_form != quotient.normal_form
         if "splitting_classes" in doc and h1.order() is not None:
             failed |= doc["splitting_classes"] != h1.order()
         doc["check_passed"] = not failed
@@ -380,12 +388,12 @@ def cmd_galois(args) -> int:
     doc = {"command": "galois", "p": args.p, "n": args.n, "d": args.d,
            "unit_group_order": args.p ** args.n - 1,
            "family": [list(s.members) for s in family],
-           "h1": h1.to_json(), "h2": h2.to_json()}
+           "h1": _at(1, h1), "h2": _at(2, h2)}
     all_zero = h1.is_trivial() and h2.is_trivial()
     if family.is_conjugation_closed() and family.is_subgroup_closed():
         h3 = odd_vanishing_check(args.p, args.n, args.d, family,
                                  size_cap=args.size_cap)
-        doc["h3"] = h3.to_json()
+        doc["h3"] = _at(3, h3)
         all_zero &= h3.is_trivial()
     doc["all_zero"] = all_zero
     _emit(doc, args.output)

@@ -132,27 +132,18 @@ def sign_modules(group: FiniteGroup) -> list[GModule]:
     return out
 
 
-class InvariantSubgroup:
-    """The fixed subgroup M^H, generated in the ambient module's coordinates."""
-
-    def __init__(self, module: GModule, sub: Subgroup):
-        carrier = module.carrier
-        gens = sub.generators()
-        if gens:
-            ident = IntMatrix.identity(carrier.ngens)
-            self.presentation, self.generators = kernel_of_hom(stack_homs(
-                AbHom(carrier, carrier, module.act(h) - ident) for h in gens))
-        else:
-            self.generators = IntMatrix.identity(carrier.ngens)
-            self.presentation = quotient_presentation(self.generators,
-                                                      carrier.relations)
-
-
-def invariants(module: GModule, sub: Subgroup) -> InvariantSubgroup:
-    """Generators and presentation of {m : h.m = m for all h in sub}."""
+def invariants(module: GModule, sub: Subgroup) -> tuple[FgAbGroup, IntMatrix]:
+    """The fixed subgroup {m : h.m = m for all h in sub}: its presentation
+    and its generators in the module's coordinates, as kernel_of_hom."""
     if sub.parent is not module.group:
         raise BadParametersError("subgroup of a different group")
-    return InvariantSubgroup(module, sub)
+    carrier = module.carrier
+    ident = IntMatrix.identity(carrier.ngens)
+    gens = sub.generators()
+    if not gens:
+        return quotient_presentation(ident, carrier.relations), ident
+    return kernel_of_hom(stack_homs(
+        AbHom(carrier, carrier, module.act(h) - ident) for h in gens))
 
 
 class OrbitModule:
@@ -220,9 +211,8 @@ def fixed_point_functor(module: GModule, family: Family) -> OrbitModule:
         raise BadParametersError("family belongs to a different group")
     cat = OrbitCategory(family)
     relations = module.carrier.relations
-    inv = [invariants(module, s) for s in cat.subgroups]
-    gens = [iv.generators for iv in inv]
-    nf = [NormalFormMap(iv.presentation) for iv in inv]
+    pres, gens = zip(*(invariants(module, s) for s in cat.subgroups))
+    nf = [NormalFormMap(p) for p in pres]
     maps = [None] * len(cat.morphs)
     for s, ids in groupby(range(len(cat.morphs)), cat.m_src.__getitem__):
         ids = list(ids)

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bredon import DEFAULT_SIZE_CAP, CohomologyResult, bredon_cohomology
+from .bredon import DEFAULT_SIZE_CAP, bredon_cohomology
 from .coeff import GModule, fixed_point_functor
 from .errors import BadParametersError, FamilyMissingTrivialError
 from .groups import Family, FiniteGroup
@@ -78,7 +78,7 @@ def _unit_functor(p, n, d, family):
 
 
 def bredon_hilbert90(p: int, n: int, d: int, family: Family,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+                     size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
     """Degree-1 cohomology of the unit functor; the expected value is zero."""
     if not family.contains_trivial():
         raise FamilyMissingTrivialError("family must contain the trivial subgroup")
@@ -87,7 +87,7 @@ def bredon_hilbert90(p: int, n: int, d: int, family: Family,
 
 
 def brauer_intersection(p: int, n: int, d: int, family: Family,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+                        size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
     """Degree-2 cohomology of the unit functor.
 
     This is the intersection of the relative Brauer groups of the
@@ -104,7 +104,6 @@ def brauer_intersection(p: int, n: int, d: int, family: Family,
 class PrimaryParts:
     """A finite group split into its q-primary components."""
 
-    result: CohomologyResult
     parts: dict[int, tuple[int, ...]]
 
     def recombined(self) -> tuple[int, ...]:
@@ -113,11 +112,11 @@ class PrimaryParts:
                                      for e in powers]))
 
 
-def primary_parts(result: CohomologyResult) -> PrimaryParts:
-    if result.rank != 0:
+def primary_parts(group: FgAbGroup) -> PrimaryParts:
+    if not group.is_finite():
         raise BadParametersError("primary decomposition needs a finite group")
     parts: dict[int, list[int]] = {}
-    for f in result.torsion:
+    for f in group.torsion:
         m = f
         q = 2
         while q * q <= m:
@@ -130,11 +129,11 @@ def primary_parts(result: CohomologyResult) -> PrimaryParts:
             q += 1
         if m > 1:
             parts.setdefault(m, []).append(m)
-    return PrimaryParts(result, {q: tuple(sorted(v)) for q, v in parts.items()})
+    return PrimaryParts({q: tuple(sorted(v)) for q, v in parts.items()})
 
 
 def odd_vanishing_check(p: int, n: int, d: int, family: Family,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> CohomologyResult:
+                        size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
     """Degree-3 cohomology of the unit functor for a closed family.
 
     Cyclic groups have all Sylow subgroups cyclic, so every primary part of

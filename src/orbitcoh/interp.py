@@ -244,12 +244,6 @@ class FDerivation:
     witnesses: tuple         # per family member, the m with D|_H = D_m
 
 
-@dataclass
-class SplittingClasses:
-    count: int
-    representatives: list[FDerivation]
-
-
 def _derivations_by_search(fm: FiniteModule, cap: int) -> list[tuple]:
     g = fm.group
     n = g.order
@@ -299,8 +293,9 @@ def _principal_witness(fm: FiniteModule, deriv, sub: Subgroup, elements):
 
 
 def splittings_mod_conjugacy(module: GModule, family: Family,
-                             cap: int = DEFAULT_ENUM_CAP) -> SplittingClasses:
-    """Splittings of the standard split structure, up to module conjugacy.
+                             cap: int = DEFAULT_ENUM_CAP) -> list[FDerivation]:
+    """Splittings of the standard split structure, up to module conjugacy:
+    one representative per class, in order of the class key.
 
     Splittings are found by exhaustive search over homomorphic sections of
     the semidirect product; the class count equals the order of the
@@ -329,8 +324,7 @@ def splittings_mod_conjugacy(module: GModule, family: Family,
             for m in elements)
         if canon not in classes:
             classes[canon] = FDerivation(deriv, wits)
-    ordered = [classes[c] for c in sorted(classes)]
-    return SplittingClasses(len(classes), ordered)
+    return [classes[c] for c in sorted(classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +549,8 @@ class CharacterGroup:
     generators: list[list[tuple[int, int]]]   # per generator: (num, den) on P's gens
     value_table: list[list[tuple[int, int]]]  # per generator: (num, den) on all of P
 
-    def order(self):
-        return self.group.order()
-
     def to_json(self):
-        rank, torsion = self.group.normal_form
-        return {"rank": rank, "torsion": list(torsion),
+        return {**self.group.to_json(),
                 "generators": [[[n, d] for (n, d) in gen] for gen in self.generators]}
 
 

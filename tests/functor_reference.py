@@ -16,9 +16,8 @@ from orbitcoh.orbitcat import OrbitCategory
 def unreduced_fixed_point_functor(module, family):
     cat = OrbitCategory(family, reduced=False)
     relations = module.carrier.relations
-    inv = [invariants(module, s) for s in cat.subgroups]
-    gens = [iv.generators for iv in inv]
-    nf = [NormalFormMap(iv.presentation) for iv in inv]
+    pres, gens = zip(*(invariants(module, s) for s in cat.subgroups))
+    nf = [NormalFormMap(p) for p in pres]
     maps = []
     for m, s, t in zip(cat.morphs, cat.m_src, cat.m_tgt):
         # solve L_s * T = act(rep) * L_t modulo ambient relations

@@ -2,6 +2,7 @@ import pytest
 from functor_reference import unreduced_fixed_point_functor
 
 from orbitcoh.bredon import (
+    BarComplex,
     BredonComplex,
     bar_cohomology,
     bredon_cohomology,
@@ -50,7 +51,7 @@ def test_bar_cohomology_frozen_values(name, kind):
     expected = BAR_EXPECTED[(name, kind)]
     for deg in range(4):
         got = bar_cohomology(m, deg)
-        assert got.normal_form() == expected[deg], (name, kind, deg)
+        assert got.normal_form == expected[deg], (name, kind, deg)
 
 
 def test_bar_degree_zero_is_invariants():
@@ -60,8 +61,8 @@ def test_bar_degree_zero_is_invariants():
         g = builtin_group(name)
         mods = [module_for(g, "z"), module_for(g, "z4")] + sign_modules(g)
         for m in mods:
-            inv = invariants(m, g.full_subgroup())
-            assert bar_cohomology(m, 0).normal_form() == inv.presentation.normal_form
+            fixed, _ = invariants(m, g.full_subgroup())
+            assert bar_cohomology(m, 0).normal_form == fixed.normal_form
 
 
 def test_bredon_h0_is_z_for_trivial_coefficients():
@@ -70,7 +71,7 @@ def test_bredon_h0_is_z_for_trivial_coefficients():
         m = GModule.trivial(g, FgAbGroup.free(1))
         for fam in (trivial_family(g), full_family(g)):
             om = fixed_point_functor(m, fam)
-            assert bredon_cohomology(fam, om, 0).normal_form() == (1, ())
+            assert bredon_cohomology(fam, om, 0).normal_form == (1, ())
 
 
 def test_bredon_matches_bar_for_trivial_family():
@@ -87,7 +88,7 @@ def test_bredon_matches_bar_for_trivial_family():
             for deg in range(3):
                 ours = bredon_cohomology(fam, om, deg)
                 oracle = bar_cohomology(m, deg)
-                assert ours.normal_form() == oracle.normal_form(), (g.name, deg)
+                assert ours.normal_form == oracle.normal_form, (g.name, deg)
 
 
 def test_bredon_d0_shape_and_kernel_for_c2():
@@ -111,7 +112,7 @@ def test_bredon_full_family_c2_trivial():
     g = FiniteGroup.cyclic(2)
     fam = full_family(g)
     om = fixed_point_functor(GModule.trivial(g, FgAbGroup.free(1)), fam)
-    values = [bredon_cohomology(fam, om, n).normal_form() for n in range(3)]
+    values = [bredon_cohomology(fam, om, n).normal_form for n in range(3)]
     assert values == [(1, ()), (0, ()), (0, ())]
 
 
@@ -120,7 +121,7 @@ def test_bredon_sign_degree_one():
     m = sign_modules(g)[0]
     fam = trivial_family(g)
     om = fixed_point_functor(m, fam)
-    assert bredon_cohomology(fam, om, 1).normal_form() == (0, (2,))
+    assert bredon_cohomology(fam, om, 1).normal_form == (0, (2,))
 
 
 def test_d_after_d_is_zero_across_matrix():
@@ -169,8 +170,8 @@ def test_restriction_kernel_trivial_family_gives_everything():
     m = module_for(g, "z")
     fam = trivial_family(g)
     for deg in (1, 2):
-        got = restriction_kernel_intersection(m, fam, deg)
-        assert got.normal_form() == bar_cohomology(m, deg).normal_form()
+        got, _ = restriction_kernel_intersection(m, fam, deg)
+        assert got.normal_form == bar_cohomology(m, deg).normal_form
 
 
 def test_restriction_kernel_c4_z_degree_two():
@@ -178,22 +179,51 @@ def test_restriction_kernel_c4_z_degree_two():
     g = builtin_group("c4")
     m = module_for(g, "z")
     fam = Family(g, [g.trivial_subgroup(), g.subgroup([0, 2])])
-    got = restriction_kernel_intersection(m, fam, 2)
-    assert got.normal_form() == (0, (2,))
-    assert got.h1_hypothesis is True
+    got, h1_hypothesis = restriction_kernel_intersection(m, fam, 2)
+    assert got.normal_form == (0, (2,))
+    assert h1_hypothesis is True
 
 
 def test_restriction_kernel_whole_group_in_family():
     g = FiniteGroup.cyclic(2)
     m = sign_modules(g)[0]
     fam = full_family(g)
-    got = restriction_kernel_intersection(m, fam, 1)
-    assert got.normal_form() == (0, ())
+    got, _ = restriction_kernel_intersection(m, fam, 1)
+    assert got.normal_form == (0, ())
 
 
 def test_restriction_kernel_flags_failed_hypothesis():
     # H^1(C2, Z/2) is nonzero, so the degree-2 comparison flag must trip
     g = builtin_group("c2")
     m = module_for(g, "z2")
-    got = restriction_kernel_intersection(m, full_family(g), 2)
-    assert got.h1_hypothesis is False
+    _, h1_hypothesis = restriction_kernel_intersection(m, full_family(g), 2)
+    assert h1_hypothesis is False
+
+
+def _is_canonical(group):
+    return isinstance(group, FgAbGroup) and group.same_presentation(
+        FgAbGroup.from_invariants(*group.normal_form))
+
+
+@pytest.mark.parametrize("name", ["c2", "c4", "s3", "c2xc2"])
+def test_computed_groups_are_canonical_fg_ab_groups(name):
+    g = builtin_group(name)
+    for m in [module_for(g, "z"), module_for(g, "z4")] + sign_modules(g)[:1]:
+        for fam in (trivial_family(g), full_family(g)):
+            om = fixed_point_functor(m, fam)
+            cx, bar = BredonComplex(fam, om), BarComplex(m)
+            for deg in range(3):
+                for got in (cx.cohomology(deg), bar.cohomology(deg),
+                            bredon_cohomology(fam, om, deg), bar_cohomology(m, deg)):
+                    assert _is_canonical(got), (name, deg)
+
+
+@pytest.mark.parametrize("name", ["c2", "c4", "s3"])
+def test_restriction_kernel_returns_group_and_hypothesis(name):
+    g = builtin_group(name)
+    for m in (module_for(g, "z"), module_for(g, "z2")):
+        for fam in (trivial_family(g), full_family(g)):
+            got, h1_hypothesis = restriction_kernel_intersection(m, fam, 1)
+            assert _is_canonical(got) and h1_hypothesis is None
+            got, h1_hypothesis = restriction_kernel_intersection(m, fam, 2)
+            assert _is_canonical(got) and isinstance(h1_hypothesis, bool)

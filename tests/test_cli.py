@@ -377,6 +377,15 @@ def test_degrees_past_the_digit_limit_exit_2(capsys, degrees):
     assert json.loads(err)["error"]["type"] == "validation"
 
 
+def test_module_shorthand_past_the_digit_limit_exits_2(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "--group", "c2",
+                             "--family", "full", "--degrees", "0",
+                             "--module", f"z{PAST_DIGIT_LIMIT}-trivial")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation" and "digits" in error["message"]
+
+
 def test_galois_unit_group_order_past_the_digit_limit_exits_2(capsys):
     # 2^20000 - 1 has 6,021 digits, so unit_group_order could not print;
     # 2^14284 - 1 has 4,300 and still answers

@@ -28,8 +28,10 @@ from orbitcoh.intlin import (
     FgAbGroup,
     IntMatrix,
     NormalFormMap,
+    kernel_of_hom,
     lattice_contains,
     solve_exact,
+    stack_homs,
 )
 from orbitcoh.interp import h0_limit
 from orbitcoh.orbitcat import OrbitCategory, OrbitMorphism, morphisms
@@ -39,11 +41,12 @@ def c2():
     return FiniteGroup.cyclic(2)
 
 
-def fixes_all(module, sub, iv):
-    """Exhaustive check that every generator of iv = M^sub is sub-fixed."""
+def fixes_all(module, sub, gens):
+    """Exhaustive check that every generator of M^sub (the columns of gens)
+    is sub-fixed."""
     ident = IntMatrix.identity(module.carrier.ngens)
     return all(lattice_contains(module.carrier.relations,
-                                (module.act(h) - ident) @ iv.generators)
+                                (module.act(h) - ident) @ gens)
                for h in sub.members)
 
 
@@ -111,21 +114,21 @@ def test_sign_modules():
 
 def test_invariants_trivial_subgroup_is_everything():
     m = z_sign_c2()
-    iv = invariants(m, m.group.trivial_subgroup())
-    assert iv.presentation.normal_form == (1, ())
-    assert fixes_all(m, m.group.trivial_subgroup(), iv)
+    pres, gens = invariants(m, m.group.trivial_subgroup())
+    assert pres.normal_form == (1, ())
+    assert fixes_all(m, m.group.trivial_subgroup(), gens)
 
 
 def test_invariants_sign_action_is_zero():
     m = z_sign_c2()
-    iv = invariants(m, m.group.full_subgroup())
-    assert iv.presentation.normal_form == (0, ())
+    pres, _ = invariants(m, m.group.full_subgroup())
+    assert pres.normal_form == (0, ())
 
 
 def test_invariants_frobenius_is_zero():
     m = z3_frobenius()
-    iv = invariants(m, m.group.full_subgroup())
-    assert iv.presentation.normal_form == (0, ())
+    pres, _ = invariants(m, m.group.full_subgroup())
+    assert pres.normal_form == (0, ())
 
 
 def test_invariants_monotone_under_inclusion():
@@ -136,11 +139,11 @@ def test_invariants_monotone_under_inclusion():
     for small in subs:
         for big in subs:
             if set(small.members) <= set(big.members):
-                iv_b = invariants(m, big)
-                iv_s = invariants(m, small)
+                _, gens_b = invariants(m, big)
+                _, gens_s = invariants(m, small)
                 # every generator fixed by the bigger subgroup is in the smaller's lattice
-                stacked = iv_s.generators.hstack(m.carrier.relations)
-                assert lattice_contains(stacked, iv_b.generators)
+                stacked = gens_s.hstack(m.carrier.relations)
+                assert lattice_contains(stacked, gens_b)
 
 
 def test_invariants_against_brute_force():
@@ -156,10 +159,28 @@ def test_invariants_against_brute_force():
     cases.append(GModule.from_generator_action(k4, z4z4, [1, 2], [swap, neg]))
     for module in cases:
         for sub in module.group.all_subgroups():
-            iv = invariants(module, sub)
+            pres, gens = invariants(module, sub)
             expected = len(brute_force_fixed_elements(module, sub))
-            assert iv.presentation.order() == expected
-            assert fixes_all(module, sub, iv)
+            assert pres.order() == expected
+            assert fixes_all(module, sub, gens)
+
+
+@pytest.mark.parametrize("name", ["c4", "s3", "c2xc2"])
+def test_invariants_is_the_kernel_of_the_stacked_actions(name):
+    # (presentation, generators), as kernel_of_hom returns them for the
+    # stacked act(h) - I over the subgroup's generators
+    g = builtin_group(name)
+    z8 = FgAbGroup(1, IntMatrix.from_rows([[8]]))
+    for m in [GModule.trivial(g, z8)] + sign_modules(g):
+        ident = IntMatrix.identity(m.carrier.ngens)
+        for sub in g.all_subgroups():
+            if sub.size == 1:
+                continue
+            pres, gens = invariants(m, sub)
+            want_pres, want_gens = kernel_of_hom(stack_homs(
+                AbHom(m.carrier, m.carrier, m.act(h) - ident)
+                for h in sub.generators()))
+            assert pres.same_presentation(want_pres) and gens == want_gens
 
 
 def test_fixed_point_functor_trivial_module():
@@ -341,11 +362,11 @@ def test_fixed_point_tables_read_by_morphism(group, label, module, fam_name, fam
     relations = module.carrier.relations
     incl = {}
     for s in fam:
-        iv = invariants(module, s)
-        assert value_at(om, s).normal_form == iv.presentation.normal_form
-        nf = NormalFormMap(iv.presentation)
+        pres, gens = invariants(module, s)
+        assert value_at(om, s).normal_form == pres.normal_form
+        nf = NormalFormMap(pres)
         assert nf.canonical.same_presentation(value_at(om, s))
-        incl[s.members] = iv.generators @ nf.from_nf
+        incl[s.members] = gens @ nf.from_nf
     for m in om.cat.morphs:
         s, t = m.source, m.target
         inc_s = incl[s.members]
@@ -374,8 +395,8 @@ def test_skeleton_and_unreduced_functors_agree_on_h0_to_h2(
     reduced, full = BredonComplex(fam, om), BredonComplex(fam, ref)
     assert reduced.cat is om.cat and full.cat is ref.cat
     for n in range(3):
-        assert reduced.cohomology(n).normal_form() \
-            == full.cohomology(n).normal_form(), n
+        assert reduced.cohomology(n).normal_form \
+            == full.cohomology(n).normal_form, n
 
 
 def _constant_tables(group, fam):
@@ -452,9 +473,9 @@ def test_values_outside_the_skeleton_and_bad_lookups():
     order2 = [s for s in fam if s.size == 2]
     assert len(order2) == 3 and len(om.cat.subgroups) == 4
     for s in order2:
-        iv = invariants(om.source_gmodule, s)
+        pres, _ = invariants(om.source_gmodule, s)
         assert value_at(om, s) is value_at(om, order2[0])
-        assert value_at(om, s).normal_form == iv.presentation.normal_form
+        assert value_at(om, s).normal_form == pres.normal_form
     outside = morphisms(order2[1], g.full_subgroup())[0]
     with pytest.raises(BadParametersError):
         om.map_matrix(outside)
@@ -505,6 +526,6 @@ def test_restrict_by_evaluation_transports_non_skeleton_intersections(name):
             assert h0_limit(evaluated).normal_form == h0_limit(direct).normal_form
             for n in range(3):
                 assert BredonComplex(evaluated.family, evaluated).cohomology(n) \
-                    .normal_form() == BredonComplex(direct.family, direct) \
-                    .cohomology(n).normal_form()
+                    .normal_form == BredonComplex(direct.family, direct) \
+                    .cohomology(n).normal_form
     assert transported > 0

@@ -14,6 +14,7 @@ from orbitcoh.galoisff import (
     units_gmodule,
 )
 from orbitcoh.groups import Family, full_family, trivial_family
+from orbitcoh.intlin import FgAbGroup
 
 
 def _trial_division(n):
@@ -131,9 +132,16 @@ def test_full_grid_h1_h2_h3_vanish():
 
 
 def test_primary_parts_recombine():
-    from orbitcoh.bredon import CohomologyResult
-
-    res = CohomologyResult(2, 0, (2, 12, 60))
-    pp = primary_parts(res)
+    pp = primary_parts(FgAbGroup.from_invariants(0, (2, 12, 60)))
     assert pp.parts == {2: (2, 4, 4), 3: (3, 3), 5: (5,)}
     assert pp.recombined() == (2, 12, 60)
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 2, 1), (2, 4, 1), (3, 4, 2)])
+def test_unit_groups_are_canonical_fg_ab_groups(p, n, d):
+    _, fams = closed_unit_families(p, n, d)
+    for fam in fams:
+        for fn in (bredon_hilbert90, brauer_intersection, odd_vanishing_check):
+            got = fn(p, n, d, fam)
+            assert isinstance(got, FgAbGroup)
+            assert got.same_presentation(FgAbGroup.from_invariants(*got.normal_form))

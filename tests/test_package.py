@@ -13,6 +13,13 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(orbitcoh, name), name
+    # every name the package imports is exported, and nothing else is, so a
+    # removed name leaves neither a dangling import nor a dangling export
+    tree = ast.parse(Path(orbitcoh.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert set(imported) == set(names)
 
 
 def test_benchmark_entry_points_resolve():

@@ -5,10 +5,11 @@ the plain element-by-element search routes; the memoized tables must leave
 every byte unchanged.  The characters files print rows of the tracked Smith
 transform U as generators, so they pin the dense Smith routine's choice of
 U, and the relation columns character_group hands it, as well as the
-groups.  The galois and cohomology files come from the
-presentation route of subquotient (coefficients whose d o d vanishes only
-modulo the relations, and a module file with mixed torsion), so they pin
-preimage_generators' results through every later normal form.
+groups.  The oracle file pins the bar complex's groups with their degrees.
+The galois and cohomology files come from the presentation route of
+subquotient (coefficients whose d o d vanishes only modulo the relations,
+and a module file with mixed torsion), so they pin preimage_generators'
+results through every later normal form.
 """
 
 from pathlib import Path
@@ -38,6 +39,8 @@ CASES = [
     ("characters_q8_trivial_sub0123.json",
      ["characters", "--group", "q8", "--family", "trivial-only",
       "--subgroup", "0,1,2,3"]),
+    ("oracle_s3_z3.json",
+     ["oracle", "--group", "s3", "--module", "z3-trivial", "--degrees", "0..3"]),
     ("galois_p2_n8_trivial.json",
      ["galois", "--p", "2", "--n", "8", "--family", "trivial-only", "--check"]),
     ("cohomology_c4_trivial_z2_z4_z.json",

@@ -66,8 +66,8 @@ def test_reduced_complex_matches_full_reference(case):
               if n == 0 or full_cat.chain_count(n + 1) <= REFERENCE_CHAINS)
     where = (name, family.member_sets(), label)
     for n in range(top + 1):
-        assert reduced.cohomology(n).normal_form() \
-            == full.cohomology(n).normal_form(), (where, n)
+        assert reduced.cohomology(n).normal_form \
+            == full.cohomology(n).normal_form, (where, n)
         if n:
             comp = reduced.differential(n).matrix @ reduced.differential(n - 1).matrix
             assert comp.is_zero() or lattice_contains(

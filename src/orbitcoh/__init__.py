@@ -10,6 +10,7 @@ layer exercises the vanishing statements for unit coefficients.
 from .bredon import (
     BarComplex,
     BredonComplex,
+    CyclicComplex,
     bar_cohomology,
     bredon_cohomology,
     restriction_kernel_intersection,
@@ -68,8 +69,8 @@ from .orbitcat import OrbitMorphism, compose, morphisms
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup", "FDerivation",
-    "FStructureClass", "FStructureWitness", "Family", "FgAbGroup",
+    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup", "CyclicComplex",
+    "FDerivation", "FStructureClass", "FStructureWitness", "Family", "FgAbGroup",
     "FiniteGroup", "GModule", "IntMatrix", "OrbitModule", "OrbitMorphism",
     "Subgroup",
     "bar_cohomology", "bredon_cohomology", "bredon_hilbert90",

@@ -25,6 +25,18 @@ here as well, as a deliberately separate assembly: it is the independent
 oracle the orbit-category route is checked against (the two coincide for the
 family consisting of the trivial subgroup alone, and that agreement is a
 test, not a shortcut).
+
+For a cyclic group G = <g>, CyclicComplex is a third, far smaller complex.
+G is abelian, so the orbit category is the Grothendieck construction of
+H |-> G/H over the family's poset, and the periodic resolutions of the G/H_0
+(Brown, Cohomology of Groups, GTM 87, I.6) laid over its strict chains
+H_0 < ... < H_p resolve the constant functor: one block M(G/H_0) per chain
+in each degree n = p + q, differential d_h + (-1)^p d_v.  d_v is g - 1 for
+even q and the norm for odd q; d_h alternates the faces of the chain, face 0
+being |H_1/H_0|^(q // 2) times the projection's module map (the comparison
+maps of the resolutions, which compose strictly), the others the identity.
+A degree has a few blocks where the nerve of the trivial family alone has
+(|G| - 1)^n chains; BredonComplex stays the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ from .intlin import (
     stack_homs,
     subquotient,
 )
-from .orbitcat import DEFAULT_CHAIN_CAP, ChainTable
+from .orbitcat import DEFAULT_CHAIN_CAP, ChainTable, OrbitMorphism, canonical_rep
 
 DEFAULT_SIZE_CAP = DEFAULT_CHAIN_CAP
 
@@ -202,6 +214,103 @@ class BredonComplex(_CochainComplex):
         mat = IntMatrix._own(dst_off[-1], src_off[-1], entries)
         hom = AbHom(source, target, mat)
         self._diffs[degree] = hom
+        return hom
+
+
+class CyclicComplex(_CochainComplex):
+    """Cochain complex of an orbit module over a cyclic group on the
+    periodic resolution (see the module docstring), for any family.
+
+    In one degree a block is named by its chain alone, q being the degree
+    less the chain's length; the blocks follow the chains by length, then
+    in lexicographic order.  The size cap counts the blocks of one degree.
+    """
+
+    def __init__(self, module: OrbitModule, size_cap: int = DEFAULT_SIZE_CAP):
+        cat, group = module.cat, module.cat.group
+        gen = next((a for a in range(group.order)
+                    if group.element_order(a) == group.order), None)
+        if gen is None:
+            raise BadParametersError(f"{group.name} is not cyclic")
+        self.module, self.size_cap = module, size_cap
+        subs = cat.subgroups
+        self._ident = [IntMatrix.identity(v.ngens) for v in module.values]
+        norm = [IntMatrix(v.ngens, v.ngens) for v in module.values]
+        for k, (s, t) in enumerate(zip(cat.m_src, cat.m_tgt)):
+            if s == t:
+                norm[s] = norm[s] + module.maps[k]
+        # d_v at H: (g - 1, the norm)
+        self._vertical = [(module.map_matrix(OrbitMorphism(
+            h, h, canonical_rep(group, gen, h))) - e, nm)
+            for h, e, nm in zip(subs, self._ident, norm)]
+        # the members strictly above H, each with (|K/H|, the projection's map)
+        members = [set(h.members) for h in subs]
+        self._above = [
+            {j: (k.size // h.size, module.map_matrix(OrbitMorphism(h, k, 0)))
+             for j, k in enumerate(subs) if members[i] < members[j]}
+            for i, h in enumerate(subs)]
+        # the number of strict chains of each length, up to the first zero
+        counts = [1] * len(subs)
+        self._level_sizes = [len(subs)]
+        while self._level_sizes[-1]:
+            counts = [sum(map(counts.__getitem__, up)) for up in self._above]
+            self._level_sizes.append(sum(counts))
+        self._levels = [[(i,) for i in range(len(subs))]]
+        self._blocks_at: dict[int, tuple] = {}
+        super().__init__()
+
+    def layout(self, degree: int) -> list[tuple[int, ...]]:
+        """The strict chains of the blocks of one degree, within the size cap."""
+        total = sum(self._level_sizes[:degree + 1])
+        if total > self.size_cap:
+            raise SizeLimitError(total, self.size_cap)
+        levels = self._levels
+        while len(levels) <= degree and levels[-1]:
+            levels.append(sorted((i,) + c for c in levels[-1]
+                                 for i, up in enumerate(self._above) if c[0] in up))
+        return [c for level in levels[:degree + 1] for c in level]
+
+    def _blocks(self, degree: int):
+        """(cochain group, each chain's first generator)."""
+        got = self._blocks_at.get(degree)
+        if got is None:
+            chains = self.layout(degree)
+            values = [self.module.values[c[0]] for c in chains]
+            got = self._blocks_at[degree] = (
+                direct_sum_groups(values),
+                dict(zip(chains, accumulate((v.ngens for v in values), initial=0))))
+        return got
+
+    def cochain_group(self, degree: int) -> FgAbGroup:
+        return self._blocks(degree)[0]
+
+    def differential(self, degree: int) -> AbHom:
+        """d^degree, one target block at a time: (-1)^p d_v from the same
+        chain, then the faces of the chain, which are distinct chains."""
+        got = self._diffs.get(degree)
+        if got is not None:
+            return got
+        source, src_off = self._blocks(degree)
+        target, dst_off = self._blocks(degree + 1)
+        entries: dict[tuple[int, int], int] = {}
+
+        def put(roff, coff, mat, c):
+            for (i, j), v in mat.entries.items():
+                entries[(roff + i, coff + j)] = c * v
+
+        for chain, roff in dst_off.items():
+            p, h = len(chain) - 1, chain[0]
+            q = degree + 1 - p
+            if q:
+                put(roff, src_off[chain], self._vertical[h][(q - 1) % 2], (-1) ** p)
+            if p:
+                index, proj = self._above[h][chain[1]]
+                put(roff, src_off[chain[1:]], proj, index ** (q // 2))
+                for i in range(1, p + 1):
+                    put(roff, src_off[chain[:i] + chain[i + 1:]], self._ident[h],
+                        (-1) ** i)
+        mat = IntMatrix._own(target.ngens, source.ngens, entries)
+        hom = self._diffs[degree] = AbHom(source, target, mat)
         return hom
 
 

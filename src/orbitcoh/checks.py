@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .bredon import (
     BarComplex,
     BredonComplex,
+    CyclicComplex,
     bredon_cohomology,
     restriction_kernel_intersection,
 )
@@ -34,13 +35,7 @@ from .groups import (
     groups_up_to_order,
     trivial_family,
 )
-from .galoisff import (
-    bredon_hilbert90,
-    brauer_intersection,
-    closed_unit_families,
-    odd_vanishing_check,
-    primary_parts,
-)
+from .galoisff import closed_unit_families, primary_parts
 from .interp import (
     character_group,
     enumerate_f_structures,
@@ -372,16 +367,18 @@ def galois_suite(threads: int = 1) -> SuiteReport:
                 def check(p=p, n=n, d=d):
                     module, fams = closed_unit_families(p, n, d)
                     for fam in fams:
-                        h1 = bredon_hilbert90(p, n, d, fam)
-                        assert h1.is_trivial(), f"H1 = {h1} at {fam.member_sets()}"
-                        h2 = brauer_intersection(p, n, d, fam)
-                        assert h2.is_trivial(), f"H2 = {h2} at {fam.member_sets()}"
-                        h3 = odd_vanishing_check(p, n, d, fam)
-                        assert h3.is_trivial(), f"H3 = {h3} at {fam.member_sets()}"
+                        # the galois layer's periodic route, the nerve its oracle
                         om = fixed_point_functor(module, fam)
-                        h0 = bredon_cohomology(fam, om, 0)
-                        pp = primary_parts(h0)
-                        assert pp.recombined() == h0.torsion, \
+                        route, nerve = CyclicComplex(om), BredonComplex(fam, om)
+                        groups = [route.cohomology(k) for k in range(4)]
+                        for k, got in enumerate(groups):
+                            want = nerve.cohomology(k)
+                            assert k == 0 or got.is_trivial(), \
+                                f"H{k} = {got} at {fam.member_sets()}"
+                            assert got == want, f"H{k}: route {got} != nerve " \
+                                f"{want} at {fam.member_sets()}"
+                        pp = primary_parts(groups[0])
+                        assert pp.recombined() == groups[0].torsion, \
                             "primary parts must recombine"
                     return f"{len(fams)} families, degrees 1..3 all zero"
                 checks.append((f"finite-field/p{p}/n{n}/d{d}", check))

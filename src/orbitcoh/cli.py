@@ -376,11 +376,11 @@ def cmd_characters(args) -> int:
 
 
 def cmd_galois(args) -> int:
-    # a family past bredon_hilbert90 holds the trivial subgroup, so H^2
-    # reads at least its (n/d - 1)^3 chains of length 3: bound before set-up
+    # the complexes have a few blocks per degree; what set-up pays for is
+    # the Galois group's (n/d)^2 multiplication table, built and validated
     if args.d >= 1 and args.n % args.d == 0 \
-            and (chains := (args.n // args.d - 1) ** 3) > args.size_cap:
-        raise SizeLimitError(chains, args.size_cap)
+            and (table := (args.n // args.d) ** 2) > args.size_cap:
+        raise SizeLimitError(table, args.size_cap)
     module = units_gmodule(args.p, args.n, args.d)
     family = load_family(args.family, module.group)
     h1 = bredon_hilbert90(args.p, args.n, args.d, family, size_cap=args.size_cap)

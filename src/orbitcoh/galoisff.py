@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bredon import DEFAULT_SIZE_CAP, bredon_cohomology
+from .bredon import DEFAULT_SIZE_CAP, CyclicComplex
 from .coeff import GModule, fixed_point_functor
 from .errors import BadParametersError, FamilyMissingTrivialError
 from .groups import Family, FiniteGroup
@@ -74,7 +74,7 @@ def _unit_functor(p, n, d, family):
         # rebuild the family over this module's group object
         family = Family(module.group,
                         [module.group.subgroup(s.members) for s in family])
-    return module, family, fixed_point_functor(module, family)
+    return fixed_point_functor(module, family)
 
 
 def bredon_hilbert90(p: int, n: int, d: int, family: Family,
@@ -82,8 +82,7 @@ def bredon_hilbert90(p: int, n: int, d: int, family: Family,
     """Degree-1 cohomology of the unit functor; the expected value is zero."""
     if not family.contains_trivial():
         raise FamilyMissingTrivialError("family must contain the trivial subgroup")
-    _, family, om = _unit_functor(p, n, d, family)
-    return bredon_cohomology(family, om, 1, size_cap=size_cap)
+    return CyclicComplex(_unit_functor(p, n, d, family), size_cap).cohomology(1)
 
 
 def brauer_intersection(p: int, n: int, d: int, family: Family,
@@ -96,8 +95,7 @@ def brauer_intersection(p: int, n: int, d: int, family: Family,
     """
     if not family.contains_trivial():
         raise FamilyMissingTrivialError("family must contain the trivial subgroup")
-    _, family, om = _unit_functor(p, n, d, family)
-    return bredon_cohomology(family, om, 2, size_cap=size_cap)
+    return CyclicComplex(_unit_functor(p, n, d, family), size_cap).cohomology(2)
 
 
 @dataclass
@@ -143,8 +141,7 @@ def odd_vanishing_check(p: int, n: int, d: int, family: Family,
         raise FamilyMissingTrivialError("family must contain the trivial subgroup")
     if not (family.is_conjugation_closed() and family.is_subgroup_closed()):
         raise BadParametersError("family must be closed under conjugation and subgroups")
-    _, family, om = _unit_functor(p, n, d, family)
-    return bredon_cohomology(family, om, 3, size_cap=size_cap)
+    return CyclicComplex(_unit_functor(p, n, d, family), size_cap).cohomology(3)
 
 
 def closed_unit_families(p: int, n: int, d: int):

@@ -147,20 +147,40 @@ def test_galois_command(capsys):
 
 
 def test_galois_bounds_the_galois_group_before_building_it(capsys):
-    # H^2 over a family holding the trivial subgroup reads at least its
-    # (n/d - 1)^3 chains of length 3, so past the cap galois exits 3 at once
+    # set-up builds and validates the (n/d)^2 multiplication table of the
+    # Galois group, so past the cap galois exits 3 at once
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "galois", "--p", "2", "--n", "1000",
                            "--family", "trivial-only")
     assert code == 3
     assert json.loads(err)["error"] == {
         "type": "size-limit",
-        "message": f"enumeration needs {999 ** 3} items, cap is 200000"}
+        "message": f"enumeration needs {1000 ** 2} items, cap is 200000"}
     assert time.perf_counter() - start < 1
-    # at or below the cap the answer stays
-    code, out, _ = run_cli(capsys, "--size-cap", "3", "galois", "--p", "2",
+    # at the cap the answer stays, one below it exits 3
+    code, out, _ = run_cli(capsys, "--size-cap", "4", "galois", "--p", "2",
                            "--n", "2", "--family", "trivial-only")
     assert code == 0 and json.loads(out)["all_zero"] is True
+    code, _, err = run_cli(capsys, "--size-cap", "3", "galois", "--p", "2",
+                           "--n", "2", "--family", "trivial-only")
+    assert code == 3 and json.loads(err)["error"]["type"] == "size-limit"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "40", "--family", "trivial-only"],
+    ["--n", "14", "--d", "1", "--family", "full"],
+    ["--n", "14", "--d", "1", "--family", "cyclic"],
+    ["--n", "14", "--d", "1", "--family", "trivial-only"],
+    ["--n", "700", "--d", "50"],
+    ["--n", "14000", "--d", "1000"],
+])
+def test_galois_of_order_14_to_40_answers_in_seconds(capsys, argv):
+    # the nerve has (n/d - 1)^3 chains in degree 3 over moduli p^n - 1;
+    # the periodic complex has a few blocks per degree
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "galois", "--p", "2", *argv, "--check")
+    assert code == 0 and json.loads(out)["all_zero"] is True
+    assert time.perf_counter() - start < 5
 
 
 def test_galois_decides_a_large_prime_at_once(capsys):

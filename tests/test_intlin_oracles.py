@@ -15,6 +15,8 @@ import pytest
 
 from elimination_reference import ReferenceColumnReduction
 from orbitcoh import intlin
+from orbitcoh.bredon import BredonComplex
+from orbitcoh.coeff import fixed_point_functor
 from orbitcoh.galoisff import (
     bredon_hilbert90, brauer_intersection, odd_vanishing_check, units_gmodule)
 from orbitcoh.groups import trivial_family
@@ -147,7 +149,8 @@ def test_reduction_with_moduli_matches_set_indexed_reference(a, tracked, moduli)
 @pytest.mark.parametrize("p", [2, 3])
 def test_galois_preimages_reduce_as_set_indexed_reference(p, monkeypatch):
     # the [A | R] inputs of preimage_generators, the only caller that
-    # passes tracked, for galois --p p --n 4 --family trivial-only
+    # passes tracked, for galois --p p --n 4 --family trivial-only: its
+    # periodic route's are 1 x 1, so the nerve's (81 x 27 at H^3) too
     seen = []
 
     class Recording(ColumnReduction):
@@ -157,9 +160,13 @@ def test_galois_preimages_reduce_as_set_indexed_reference(p, monkeypatch):
             super().__init__(a, moduli, tracked)
 
     monkeypatch.setattr(intlin, "ColumnReduction", Recording)
-    family = trivial_family(units_gmodule(p, 4, 1).group)
-    for degree_route in (bredon_hilbert90, brauer_intersection, odd_vanishing_check):
+    module = units_gmodule(p, 4, 1)
+    family = trivial_family(module.group)
+    nerve = BredonComplex(family, fixed_point_functor(module, family))
+    for degree, degree_route in enumerate(
+            (bredon_hilbert90, brauer_intersection, odd_vanishing_check), 1):
         degree_route(p, 4, 1, family)
+        nerve.cohomology(degree)
     monkeypatch.undo()
     assert any(moduli for _, moduli, _ in seen)
     for a, moduli, tracked in seen:

@@ -11,8 +11,6 @@ from .bredon import (
     BarComplex,
     BredonComplex,
     CyclicComplex,
-    bar_cohomology,
-    bredon_cohomology,
     restriction_kernel_intersection,
 )
 from .coeff import (
@@ -24,13 +22,7 @@ from .coeff import (
     restrict_module,
     sign_modules,
 )
-from .galoisff import (
-    bredon_hilbert90,
-    brauer_intersection,
-    odd_vanishing_check,
-    primary_parts,
-    units_gmodule,
-)
+from .galoisff import primary_parts, units_gmodule
 from .groups import (
     Family,
     FiniteGroup,
@@ -72,15 +64,13 @@ __all__ = [
     "AbHom", "BarComplex", "BredonComplex", "CharacterGroup", "CyclicComplex",
     "FDerivation", "FStructureClass", "FStructureWitness", "Family", "FgAbGroup",
     "FiniteGroup", "GModule", "IntMatrix", "OrbitModule", "OrbitMorphism",
-    "Subgroup",
-    "bar_cohomology", "bredon_cohomology", "bredon_hilbert90",
-    "brauer_intersection", "builtin_group", "character_group",
-    "closed_families", "compose", "constant_orbit_module", "cyclic_family",
+    "Subgroup", "builtin_group", "character_group", "closed_families",
+    "compose", "constant_orbit_module", "cyclic_family",
     "enumerate_f_structures", "f_derivation_quotient", "family_close",
     "fixed_point_free_prime_power_element", "fixed_point_functor",
     "full_family", "groups_up_to_order", "h0_limit", "invariants",
-    "kernel_basis", "morphisms", "odd_vanishing_check", "primary_parts",
-    "restrict_module", "restriction_kernel_intersection", "sign_modules",
-    "smith_normal_form", "solve_exact", "splittings_mod_conjugacy",
-    "subquotient", "trivial_family", "units_gmodule",
+    "kernel_basis", "morphisms", "primary_parts", "restrict_module",
+    "restriction_kernel_intersection", "sign_modules", "smith_normal_form",
+    "solve_exact", "splittings_mod_conjugacy", "subquotient",
+    "trivial_family", "units_gmodule",
 ]

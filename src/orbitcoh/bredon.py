@@ -314,11 +314,6 @@ class CyclicComplex(_CochainComplex):
         return hom
 
 
-def bredon_cohomology(family: Family, module: OrbitModule, degree: int,
-                      size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
-    return BredonComplex(family, module, size_cap).cohomology(degree)
-
-
 # ---------------------------------------------------------------------------
 # Ordinary group cohomology via the inhomogeneous bar complex (the oracle)
 
@@ -389,11 +384,6 @@ class BarComplex(_CochainComplex):
         return hom
 
 
-def bar_cohomology(module: GModule, degree: int,
-                   size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
-    return BarComplex(module, size_cap).cohomology(degree)
-
-
 # ---------------------------------------------------------------------------
 # Kernels of restriction maps on ordinary cohomology
 
@@ -431,10 +421,10 @@ def restriction_kernel_intersection(module: GModule, family: Family,
     bar_g = BarComplex(module, size_cap)
     pres_g = bar_g.cohomology_presentation(degree)
 
-    homs = []
+    homs, bars = [], {}
     for sub in family:
         msub, embed = module.restrict_to(sub)
-        bar_h = BarComplex(msub, size_cap)
+        bar_h = bars[sub.members] = BarComplex(msub, size_cap)
         pres_h = bar_h.cohomology_presentation(degree)
         res = _bar_restriction_matrix(bar_g, bar_h, embed, degree)
         sol = solve_exact(pres_h.basis, res @ pres_g.basis)
@@ -447,7 +437,9 @@ def restriction_kernel_intersection(module: GModule, family: Family,
         homs.append(induced)
 
     kernel, _ = kernel_of_hom(stack_homs(homs))
+    # H^1 on the closure, read off the complexes above where there is one
     hypothesis = None if degree == 1 else all(
-        bar_cohomology(module.restrict_to(sub)[0], 1, size_cap).is_trivial()
+        (bars.get(sub.members) or BarComplex(module.restrict_to(sub)[0], size_cap))
+        .cohomology(1).is_trivial()
         for sub in family_close(family, under_conjugation=True))
     return FgAbGroup.from_invariants(*kernel.normal_form), hypothesis

@@ -21,7 +21,6 @@ from .bredon import (
     BarComplex,
     BredonComplex,
     CyclicComplex,
-    bredon_cohomology,
     restriction_kernel_intersection,
 )
 from .coeff import GModule, fixed_point_functor, sign_modules
@@ -35,7 +34,7 @@ from .groups import (
     groups_up_to_order,
     trivial_family,
 )
-from .galoisff import closed_unit_families, primary_parts
+from .galoisff import primary_parts, units_gmodule
 from .interp import (
     character_group,
     enumerate_f_structures,
@@ -264,7 +263,7 @@ def oracle_suite(threads: int = 1) -> SuiteReport:
                 for fam in (trivial_family(group), full_family(group)):
                     om = fixed_point_functor(module, fam)
                     direct = h0_limit(om).normal_form
-                    routed = bredon_cohomology(fam, om, 0).normal_form
+                    routed = BredonComplex(fam, om).cohomology(0).normal_form
                     assert direct == routed, \
                         f"limit {direct} != cochain route {routed}"
             return "degree-0 limit agrees on trivial and full families"
@@ -300,7 +299,7 @@ def characters_suite(threads: int = 1) -> SuiteReport:
             fams = closed_families(group)
             for fam in fams:
                 om = fixed_point_functor(module, fam)
-                h2 = bredon_cohomology(fam, om, 2)
+                h2 = BredonComplex(fam, om).cohomology(2)
                 cg = character_group(group.full_subgroup(), fam)
                 assert h2.normal_form == cg.group.normal_form, \
                     f"mismatch at {fam.member_sets()}"
@@ -319,7 +318,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
         def check_h2(group=group, module=module):
             for fam in _families_with_trivial(group):
                 om = fixed_point_functor(module, fam)
-                h2 = bredon_cohomology(fam, om, 2)
+                h2 = BredonComplex(fam, om).cohomology(2)
                 classes = enumerate_f_structures(module, fam)
                 assert len(classes) == h2.order(), \
                     f"class count {len(classes)} != |H2| {h2.order()} at {fam.member_sets()}"
@@ -334,7 +333,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
         def check_h1(group=group, module=module):
             for fam in _families_with_trivial(group):
                 om = fixed_point_functor(module, fam)
-                h1 = bredon_cohomology(fam, om, 1)
+                h1 = BredonComplex(fam, om).cohomology(1)
                 got = len(splittings_mod_conjugacy(module, fam))
                 assert got == h1.order(), \
                     f"splitting count {got} != |H1| {h1.order()} at {fam.member_sets()}"
@@ -348,7 +347,7 @@ def structures_suite(threads: int = 1) -> SuiteReport:
                 for fam in _families_with_trivial(group):
                     om = fixed_point_functor(module, fam)
                     lhs = f_derivation_quotient(module, fam).normal_form
-                    rhs = bredon_cohomology(fam, om, 1).normal_form
+                    rhs = BredonComplex(fam, om).cohomology(1).normal_form
                     assert lhs == rhs, \
                         f"{label}: derivations {lhs} != cochain {rhs}"
             return "derivation quotients equal degree-1 cohomology"
@@ -365,7 +364,8 @@ def galois_suite(threads: int = 1) -> SuiteReport:
                 if n % d:
                     continue
                 def check(p=p, n=n, d=d):
-                    module, fams = closed_unit_families(p, n, d)
+                    module = units_gmodule(p, n, d)
+                    fams = closed_families(module.group)
                     for fam in fams:
                         # the galois layer's periodic route, the nerve its oracle
                         om = fixed_point_functor(module, fam)

@@ -17,12 +17,7 @@ import os
 import re
 import sys
 
-from .bredon import (
-    DEFAULT_SIZE_CAP,
-    BarComplex,
-    BredonComplex,
-    bredon_cohomology,
-)
+from .bredon import DEFAULT_SIZE_CAP, BarComplex, BredonComplex, CyclicComplex
 from .checks import available_suites, run_suites
 from .coeff import GModule, fixed_point_functor, sign_modules
 from .errors import (
@@ -32,7 +27,7 @@ from .errors import (
     SchemaError,
     SizeLimitError,
 )
-from .galoisff import bredon_hilbert90, brauer_intersection, odd_vanishing_check, units_gmodule
+from .galoisff import units_gmodule
 from .groups import (
     Family,
     FiniteGroup,
@@ -322,7 +317,7 @@ def cmd_structures(args) -> int:
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
-        h2 = bredon_cohomology(family, om, 2, size_cap=args.size_cap)
+        h2 = BredonComplex(family, om, args.size_cap).cohomology(2)
         doc["h2_order"] = h2.order()
         failed = h2.order() != len(classes)
         doc["check_passed"] = not failed
@@ -344,7 +339,7 @@ def cmd_derivations(args) -> int:
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
-        h1 = bredon_cohomology(family, om, 1, size_cap=args.size_cap)
+        h1 = BredonComplex(family, om, args.size_cap).cohomology(1)
         doc["h1"] = _at(1, h1)
         failed = h1.normal_form != quotient.normal_form
         if "splitting_classes" in doc and h1.order() is not None:
@@ -377,22 +372,25 @@ def cmd_characters(args) -> int:
 
 def cmd_galois(args) -> int:
     # the complexes have a few blocks per degree; what set-up pays for is
-    # the Galois group's (n/d)^2 multiplication table, built and validated
+    # the Galois group's (n/d)^2 multiplication table and the unit functor
+    # validated over it
     if args.d >= 1 and args.n % args.d == 0 \
             and (table := (args.n // args.d) ** 2) > args.size_cap:
         raise SizeLimitError(table, args.size_cap)
     module = units_gmodule(args.p, args.n, args.d)
     family = load_family(args.family, module.group)
-    h1 = bredon_hilbert90(args.p, args.n, args.d, family, size_cap=args.size_cap)
-    h2 = brauer_intersection(args.p, args.n, args.d, family, size_cap=args.size_cap)
+    if not family.contains_trivial():
+        raise FamilyMissingTrivialError("family must contain the trivial subgroup")
+    # one unit functor and one complex, read in every degree (galoisff)
+    cx = CyclicComplex(fixed_point_functor(module, family), args.size_cap)
+    h1, h2 = cx.cohomology(1), cx.cohomology(2)
     doc = {"command": "galois", "p": args.p, "n": args.n, "d": args.d,
            "unit_group_order": args.p ** args.n - 1,
            "family": [list(s.members) for s in family],
            "h1": _at(1, h1), "h2": _at(2, h2)}
     all_zero = h1.is_trivial() and h2.is_trivial()
     if family.is_conjugation_closed() and family.is_subgroup_closed():
-        h3 = odd_vanishing_check(args.p, args.n, args.d, family,
-                                 size_cap=args.size_cap)
+        h3 = cx.cohomology(3)
         doc["h3"] = _at(3, h3)
         all_zero &= h3.is_trivial()
     doc["all_zero"] = all_zero

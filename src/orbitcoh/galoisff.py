@@ -5,10 +5,16 @@ by the d-th power of Frobenius, and everything cohomological about the
 extension factors through its action on the unit group Z/(p^n - 1) by
 multiplication by p^d.  Fields are never represented element by element.
 
-The classical expectations are: first cohomology of the units vanishes in
-every family containing the trivial subgroup, second cohomology vanishes
+Bredon-Galois cohomology is the cohomology of one complex, that of the unit
+functor fixed_point_functor(units_gmodule(p, n, d), family), which the
+galois command builds once as a bredon.CyclicComplex and reads in every
+degree.  For a family containing the trivial subgroup, its H^1 is the
+analogue of Hilbert 90 and its H^2 the intersection of the relative Brauer
+groups of the intermediate fields fixed by the family; for a family closed
+under conjugation and subgroups, its H^3 is the odd-degree check.  The
+classical expectations are that all three vanish: H^1 by Hilbert 90, H^2
 because relative Brauer groups of finite fields are trivial, and the odd
-degrees vanish for cyclic groups.  All three are computed here, not assumed.
+degrees because the group is cyclic.  They are computed, not assumed.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bredon import DEFAULT_SIZE_CAP, CyclicComplex
-from .coeff import GModule, fixed_point_functor
-from .errors import BadParametersError, FamilyMissingTrivialError
-from .groups import Family, FiniteGroup
+from .coeff import GModule
+from .errors import BadParametersError
+from .groups import FiniteGroup
 from .intlin import FgAbGroup, IntMatrix, _torsion_chain
 
 
@@ -66,38 +71,6 @@ def units_gmodule(p: int, n: int, d: int) -> GModule:
     return GModule.from_generator_action(group, carrier, [1], [frob])
 
 
-def _unit_functor(p, n, d, family):
-    module = units_gmodule(p, n, d)
-    if family.parent.order != module.group.order:
-        raise BadParametersError("family must be over the Galois group")
-    if family.parent is not module.group:
-        # rebuild the family over this module's group object
-        family = Family(module.group,
-                        [module.group.subgroup(s.members) for s in family])
-    return fixed_point_functor(module, family)
-
-
-def bredon_hilbert90(p: int, n: int, d: int, family: Family,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
-    """Degree-1 cohomology of the unit functor; the expected value is zero."""
-    if not family.contains_trivial():
-        raise FamilyMissingTrivialError("family must contain the trivial subgroup")
-    return CyclicComplex(_unit_functor(p, n, d, family), size_cap).cohomology(1)
-
-
-def brauer_intersection(p: int, n: int, d: int, family: Family,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
-    """Degree-2 cohomology of the unit functor.
-
-    This is the intersection of the relative Brauer groups of the
-    intermediate fields fixed by the family; over finite fields every
-    relative Brauer group vanishes, so zero is the expected outcome.
-    """
-    if not family.contains_trivial():
-        raise FamilyMissingTrivialError("family must contain the trivial subgroup")
-    return CyclicComplex(_unit_functor(p, n, d, family), size_cap).cohomology(2)
-
-
 @dataclass
 class PrimaryParts:
     """A finite group split into its q-primary components."""
@@ -128,25 +101,3 @@ def primary_parts(group: FgAbGroup) -> PrimaryParts:
         if m > 1:
             parts.setdefault(m, []).append(m)
     return PrimaryParts({q: tuple(sorted(v)) for q, v in parts.items()})
-
-
-def odd_vanishing_check(p: int, n: int, d: int, family: Family,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> FgAbGroup:
-    """Degree-3 cohomology of the unit functor for a closed family.
-
-    Cyclic groups have all Sylow subgroups cyclic, so every primary part of
-    the odd-degree group must vanish; the caller inspects the result.
-    """
-    if not family.contains_trivial():
-        raise FamilyMissingTrivialError("family must contain the trivial subgroup")
-    if not (family.is_conjugation_closed() and family.is_subgroup_closed()):
-        raise BadParametersError("family must be closed under conjugation and subgroups")
-    return CyclicComplex(_unit_functor(p, n, d, family), size_cap).cohomology(3)
-
-
-def closed_unit_families(p: int, n: int, d: int):
-    """All conjugation- and subgroup-closed families of the Galois group."""
-    from .groups import closed_families
-
-    module = units_gmodule(p, n, d)
-    return module, closed_families(module.group)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from orbitcoh.bredon import CyclicComplex
 from orbitcoh.checks import (
     characters_suite,
     oracle_suite,
@@ -16,12 +17,9 @@ from orbitcoh.checks import (
     structures_suite,
 )
 from orbitcoh.cli import main as cli_main
-from orbitcoh.galoisff import (
-    bredon_hilbert90,
-    brauer_intersection,
-    closed_unit_families,
-    odd_vanishing_check,
-)
+from orbitcoh.coeff import fixed_point_functor
+from orbitcoh.galoisff import units_gmodule
+from orbitcoh.groups import closed_families
 
 
 def _report(num, name, ok, detail=""):
@@ -92,6 +90,13 @@ def test_criterion_5_kernel_intersections(oracle_report):
             f"failed: {failed}" if failed else "exact")
 
 
+def _unit_complexes(p, n, d):
+    """(family, the unit functor's one complex) per closed family."""
+    module = units_gmodule(p, n, d)
+    return [(fam, CyclicComplex(fixed_point_functor(module, fam)))
+            for fam in closed_families(module.group)]
+
+
 def test_criterion_6_hilbert_90():
     start = time.perf_counter()
     bad = []
@@ -100,9 +105,8 @@ def test_criterion_6_hilbert_90():
             for d in range(1, n + 1):
                 if n % d:
                     continue
-                _, fams = closed_unit_families(p, n, d)
-                for fam in fams:
-                    if not bredon_hilbert90(p, n, d, fam).is_trivial():
+                for fam, cx in _unit_complexes(p, n, d):
+                    if not cx.cohomology(1).is_trivial():
                         bad.append((p, n, d, fam.member_sets()))
     seconds = time.perf_counter() - start
     ok = not bad and seconds < 120
@@ -117,11 +121,10 @@ def test_criterion_7_brauer_and_odd_vanishing():
             for d in range(1, n + 1):
                 if n % d:
                     continue
-                _, fams = closed_unit_families(p, n, d)
-                for fam in fams:
-                    if not brauer_intersection(p, n, d, fam).is_trivial():
+                for fam, cx in _unit_complexes(p, n, d):
+                    if not cx.cohomology(2).is_trivial():
                         bad.append(("H2", p, n, d, fam.member_sets()))
-                    if not odd_vanishing_check(p, n, d, fam).is_trivial():
+                    if not cx.cohomology(3).is_trivial():
                         bad.append(("H3", p, n, d, fam.member_sets()))
     _report(7, "degree-2 and degree-3 unit cohomology vanish", not bad,
             f"nonzero at {bad}" if bad else "exact")

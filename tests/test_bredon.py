@@ -4,8 +4,6 @@ from functor_reference import unreduced_fixed_point_functor
 from orbitcoh.bredon import (
     BarComplex,
     BredonComplex,
-    bar_cohomology,
-    bredon_cohomology,
     restriction_kernel_intersection,
 )
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
@@ -50,7 +48,7 @@ def test_bar_cohomology_frozen_values(name, kind):
     m = module_for(g, kind)
     expected = BAR_EXPECTED[(name, kind)]
     for deg in range(4):
-        got = bar_cohomology(m, deg)
+        got = BarComplex(m).cohomology(deg)
         assert got.normal_form == expected[deg], (name, kind, deg)
 
 
@@ -62,7 +60,7 @@ def test_bar_degree_zero_is_invariants():
         mods = [module_for(g, "z"), module_for(g, "z4")] + sign_modules(g)
         for m in mods:
             fixed, _ = invariants(m, g.full_subgroup())
-            assert bar_cohomology(m, 0).normal_form == fixed.normal_form
+            assert BarComplex(m).cohomology(0).normal_form == fixed.normal_form
 
 
 def test_bredon_h0_is_z_for_trivial_coefficients():
@@ -71,7 +69,7 @@ def test_bredon_h0_is_z_for_trivial_coefficients():
         m = GModule.trivial(g, FgAbGroup.free(1))
         for fam in (trivial_family(g), full_family(g)):
             om = fixed_point_functor(m, fam)
-            assert bredon_cohomology(fam, om, 0).normal_form == (1, ())
+            assert BredonComplex(fam, om).cohomology(0).normal_form == (1, ())
 
 
 def test_bredon_matches_bar_for_trivial_family():
@@ -86,8 +84,8 @@ def test_bredon_matches_bar_for_trivial_family():
         for m in mods:
             om = fixed_point_functor(m, fam)
             for deg in range(3):
-                ours = bredon_cohomology(fam, om, deg)
-                oracle = bar_cohomology(m, deg)
+                ours = BredonComplex(fam, om).cohomology(deg)
+                oracle = BarComplex(m).cohomology(deg)
                 assert ours.normal_form == oracle.normal_form, (g.name, deg)
 
 
@@ -112,7 +110,7 @@ def test_bredon_full_family_c2_trivial():
     g = FiniteGroup.cyclic(2)
     fam = full_family(g)
     om = fixed_point_functor(GModule.trivial(g, FgAbGroup.free(1)), fam)
-    values = [bredon_cohomology(fam, om, n).normal_form for n in range(3)]
+    values = [BredonComplex(fam, om).cohomology(n).normal_form for n in range(3)]
     assert values == [(1, ()), (0, ()), (0, ())]
 
 
@@ -121,7 +119,7 @@ def test_bredon_sign_degree_one():
     m = sign_modules(g)[0]
     fam = trivial_family(g)
     om = fixed_point_functor(m, fam)
-    assert bredon_cohomology(fam, om, 1).normal_form == (0, (2,))
+    assert BredonComplex(fam, om).cohomology(1).normal_form == (0, (2,))
 
 
 def test_d_after_d_is_zero_across_matrix():
@@ -143,9 +141,9 @@ def test_size_cap_raises():
     fam = full_family(g)
     om = fixed_point_functor(GModule.trivial(g, FgAbGroup.free(1)), fam)
     with pytest.raises(SizeLimitError):
-        bredon_cohomology(fam, om, 3, size_cap=50)
+        BredonComplex(fam, om, size_cap=50).cohomology(3)
     with pytest.raises(SizeLimitError):
-        bar_cohomology(GModule.trivial(g, FgAbGroup.free(1)), 3, size_cap=10)
+        BarComplex(GModule.trivial(g, FgAbGroup.free(1)), size_cap=10).cohomology(3)
 
 
 def test_representatives_are_cocycles_with_right_classes():
@@ -171,7 +169,7 @@ def test_restriction_kernel_trivial_family_gives_everything():
     fam = trivial_family(g)
     for deg in (1, 2):
         got, _ = restriction_kernel_intersection(m, fam, deg)
-        assert got.normal_form == bar_cohomology(m, deg).normal_form
+        assert got.normal_form == BarComplex(m).cohomology(deg).normal_form
 
 
 def test_restriction_kernel_c4_z_degree_two():
@@ -214,7 +212,8 @@ def test_computed_groups_are_canonical_fg_ab_groups(name):
             cx, bar = BredonComplex(fam, om), BarComplex(m)
             for deg in range(3):
                 for got in (cx.cohomology(deg), bar.cohomology(deg),
-                            bredon_cohomology(fam, om, deg), bar_cohomology(m, deg)):
+                            BredonComplex(fam, om).cohomology(deg),
+                            BarComplex(m).cohomology(deg)):
                     assert _is_canonical(got), (name, deg)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitcoh import cli
 from orbitcoh.cli import main
 from orbitcoh.galoisff import PRIME_BOUND
 
@@ -183,6 +184,38 @@ def test_galois_of_order_14_to_40_answers_in_seconds(capsys, argv):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("family", ["full", "trivial-only", "non-closed"])
+def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
+                                                          tmp_path, family):
+    built = {}
+
+    def counted(name, make):
+        def wrapper(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return make(*args, **kwargs)
+        return wrapper
+
+    for name in ("units_gmodule", "fixed_point_functor", "CyclicComplex"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    if family == "non-closed":
+        family = write_json(tmp_path, "fam.json",
+                            {"subgroups": [[0], [0, 1, 2, 3]]})
+    code, out, _ = run_cli(capsys, "galois", "--p", "3", "--n", "4",
+                           "--family", family, "--check")
+    assert code == 0 and json.loads(out)["all_zero"] is True
+    assert built == {"units_gmodule": 1, "fixed_point_functor": 1,
+                     "CyclicComplex": 1}
+
+
+def test_galois_of_order_447_answers_in_seconds(capsys):
+    # the Galois group's 447^2 table is built once, and the unit module is
+    # validated on its generator alone
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "galois", "--p", "2", "--n", "447", "--check")
+    assert code == 0 and json.loads(out)["all_zero"] is True
+    assert time.perf_counter() - start < 5
+
+
 def test_galois_decides_a_large_prime_at_once(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "galois", "--p", "2305843009213693951",
@@ -199,6 +232,27 @@ def test_galois_past_the_primality_bound_exits_2(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "validation"
     assert str(PRIME_BOUND) in error["message"]
+
+
+def test_galois_family_without_the_trivial_subgroup_exits_2(capsys, tmp_path):
+    path = write_json(tmp_path, "fam.json", {"subgroups": [[0, 1]]})
+    code, out, err = run_cli(capsys, "galois", "--p", "2", "--n", "2",
+                             "--family", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "validation",
+        "message": "family must contain the trivial subgroup"}
+
+
+def test_galois_non_closed_family_reads_degrees_1_and_2_only(capsys, tmp_path):
+    # C4 without its subgroup of order 2 is not subgroup-closed
+    path = write_json(tmp_path, "fam.json", {"subgroups": [[0], [0, 1, 2, 3]]})
+    code, out, _ = run_cli(capsys, "galois", "--p", "2", "--n", "4",
+                           "--family", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert "h1" in doc and "h2" in doc and "h3" not in doc
+    assert doc["family"] == [[0], [0, 1, 2, 3]]
 
 
 def test_group_file_from_permutations(capsys, tmp_path):

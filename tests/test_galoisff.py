@@ -1,19 +1,10 @@
 import pytest
 
-from orbitcoh.bredon import bredon_cohomology
+from orbitcoh.bredon import BredonComplex, CyclicComplex
 from orbitcoh.coeff import fixed_point_functor
-from orbitcoh.errors import BadParametersError, FamilyMissingTrivialError
-from orbitcoh.galoisff import (
-    PRIME_BOUND,
-    _is_prime,
-    bredon_hilbert90,
-    brauer_intersection,
-    closed_unit_families,
-    odd_vanishing_check,
-    primary_parts,
-    units_gmodule,
-)
-from orbitcoh.groups import Family, full_family, trivial_family
+from orbitcoh.errors import BadParametersError
+from orbitcoh.galoisff import PRIME_BOUND, _is_prime, primary_parts, units_gmodule
+from orbitcoh.groups import closed_families, full_family, trivial_family
 from orbitcoh.intlin import FgAbGroup
 
 
@@ -70,51 +61,38 @@ def test_fixed_subfield_units_match_galois_theory():
         module = units_gmodule(p, n, d)
         fam = full_family(module.group)
         om = fixed_point_functor(module, fam)
-        h0 = bredon_cohomology(fam, om, 0)
+        h0 = BredonComplex(fam, om).cohomology(0)
         assert h0.order() == expect == p ** d - 1
 
 
-def test_hilbert90_requires_trivial_member():
-    module = units_gmodule(2, 2, 1)
-    fam = Family(module.group, [module.group.full_subgroup()])
-    with pytest.raises(FamilyMissingTrivialError):
-        bredon_hilbert90(2, 2, 1, fam)
+def _unit_complex(p, n, d, make_family=full_family):
+    """The one complex of the unit functor over make_family(Galois group)."""
+    module = units_gmodule(p, n, d)
+    return CyclicComplex(fixed_point_functor(module, make_family(module.group)))
+
+
+def _closed_unit_complexes(p, n, d):
+    module = units_gmodule(p, n, d)
+    return [CyclicComplex(fixed_point_functor(module, fam))
+            for fam in closed_families(module.group)]
 
 
 def test_hilbert90_examples():
-    module = units_gmodule(2, 2, 1)
-    assert bredon_hilbert90(2, 2, 1, full_family(module.group)).is_trivial()
-    module = units_gmodule(3, 2, 1)
-    assert bredon_hilbert90(3, 2, 1, trivial_family(module.group)).is_trivial()
-    module, fams = closed_unit_families(2, 4, 1)
-    for fam in fams:
-        assert bredon_hilbert90(2, 4, 1, fam).is_trivial()
+    assert _unit_complex(2, 2, 1).cohomology(1).is_trivial()
+    assert _unit_complex(3, 2, 1, trivial_family).cohomology(1).is_trivial()
+    for cx in _closed_unit_complexes(2, 4, 1):
+        assert cx.cohomology(1).is_trivial()
 
 
 def test_brauer_intersection_examples():
-    module = units_gmodule(2, 2, 1)
-    assert brauer_intersection(2, 2, 1, trivial_family(module.group)).is_trivial()
-    module = units_gmodule(2, 4, 1)
-    assert brauer_intersection(2, 4, 1, full_family(module.group)).is_trivial()
-    module = units_gmodule(7, 2, 2)
-    assert brauer_intersection(7, 2, 2, full_family(module.group)).is_trivial()
+    assert _unit_complex(2, 2, 1, trivial_family).cohomology(2).is_trivial()
+    assert _unit_complex(2, 4, 1).cohomology(2).is_trivial()
+    assert _unit_complex(7, 2, 2).cohomology(2).is_trivial()
 
 
 def test_odd_vanishing_examples():
-    module = units_gmodule(2, 4, 1)
-    res = odd_vanishing_check(2, 4, 1, full_family(module.group))
-    assert res.is_trivial()
-    module = units_gmodule(2, 2, 1)
-    res = odd_vanishing_check(2, 2, 1, trivial_family(module.group))
-    assert res.is_trivial()
-
-
-def test_odd_vanishing_requires_closed_family():
-    module = units_gmodule(2, 4, 1)
-    g = module.group
-    fam = Family(g, [g.trivial_subgroup(), g.full_subgroup()])  # missing C2
-    with pytest.raises(BadParametersError):
-        odd_vanishing_check(2, 4, 1, fam)
+    assert _unit_complex(2, 4, 1).cohomology(3).is_trivial()
+    assert _unit_complex(2, 2, 1, trivial_family).cohomology(3).is_trivial()
 
 
 def test_full_grid_h1_h2_h3_vanish():
@@ -124,11 +102,10 @@ def test_full_grid_h1_h2_h3_vanish():
             for d in range(1, n + 1):
                 if n % d:
                     continue
-                module, fams = closed_unit_families(p, n, d)
-                for fam in fams:
-                    assert bredon_hilbert90(p, n, d, fam).is_trivial()
-                    assert brauer_intersection(p, n, d, fam).is_trivial()
-                    assert odd_vanishing_check(p, n, d, fam).is_trivial()
+                for cx in _closed_unit_complexes(p, n, d):
+                    assert cx.cohomology(1).is_trivial()
+                    assert cx.cohomology(2).is_trivial()
+                    assert cx.cohomology(3).is_trivial()
 
 
 def test_primary_parts_recombine():
@@ -139,9 +116,8 @@ def test_primary_parts_recombine():
 
 @pytest.mark.parametrize("p, n, d", [(2, 2, 1), (2, 4, 1), (3, 4, 2)])
 def test_unit_groups_are_canonical_fg_ab_groups(p, n, d):
-    _, fams = closed_unit_families(p, n, d)
-    for fam in fams:
-        for fn in (bredon_hilbert90, brauer_intersection, odd_vanishing_check):
-            got = fn(p, n, d, fam)
+    for cx in _closed_unit_complexes(p, n, d):
+        for degree in (1, 2, 3):
+            got = cx.cohomology(degree)
             assert isinstance(got, FgAbGroup)
             assert got.same_presentation(FgAbGroup.from_invariants(*got.normal_form))

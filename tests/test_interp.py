@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from orbitcoh.bredon import bredon_cohomology
+from orbitcoh.bredon import BredonComplex
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
 from orbitcoh.errors import FamilyMissingTrivialError
 from orbitcoh.groups import (
@@ -131,7 +131,7 @@ def test_h0_limit_matches_cochain_route():
             for m in modules:
                 om = fixed_point_functor(m, fam)
                 assert h0_limit(om).normal_form == \
-                    bredon_cohomology(fam, om, 0).normal_form
+                    BredonComplex(fam, om).cohomology(0).normal_form
 
 
 def test_f_derivation_quotient_sign_examples():
@@ -164,7 +164,7 @@ def test_f_derivation_quotient_matches_cochain_route():
             for m in modules:
                 om = fixed_point_functor(m, fam)
                 lhs = f_derivation_quotient(m, fam).normal_form
-                rhs = bredon_cohomology(fam, om, 1).normal_form
+                rhs = BredonComplex(fam, om).cohomology(1).normal_form
                 assert lhs == rhs, (name, fam.member_sets())
 
 
@@ -195,7 +195,7 @@ def test_splitting_count_equals_h1_order():
         m = zmod(g, mod)
         for fam in families_containing_trivial(g):
             om = fixed_point_functor(m, fam)
-            h1 = bredon_cohomology(fam, om, 1)
+            h1 = BredonComplex(fam, om).cohomology(1)
             assert len(splittings_mod_conjugacy(m, fam)) == h1.order()
 
 
@@ -220,7 +220,7 @@ def test_structure_count_equals_h2_order():
         m = zmod(g, mod)
         for fam in families_containing_trivial(g):
             om = fixed_point_functor(m, fam)
-            h2 = bredon_cohomology(fam, om, 2)
+            h2 = BredonComplex(fam, om).cohomology(2)
             assert len(enumerate_f_structures(m, fam)) == h2.order(), \
                 (name, mod, fam.member_sets())
 

@@ -15,10 +15,9 @@ import pytest
 
 from elimination_reference import ReferenceColumnReduction
 from orbitcoh import intlin
-from orbitcoh.bredon import BredonComplex
+from orbitcoh.bredon import BredonComplex, CyclicComplex
 from orbitcoh.coeff import fixed_point_functor
-from orbitcoh.galoisff import (
-    bredon_hilbert90, brauer_intersection, odd_vanishing_check, units_gmodule)
+from orbitcoh.galoisff import units_gmodule
 from orbitcoh.groups import trivial_family
 from orbitcoh.intlin import ColumnReduction, IntMatrix, invariant_factors
 
@@ -162,10 +161,10 @@ def test_galois_preimages_reduce_as_set_indexed_reference(p, monkeypatch):
     monkeypatch.setattr(intlin, "ColumnReduction", Recording)
     module = units_gmodule(p, 4, 1)
     family = trivial_family(module.group)
-    nerve = BredonComplex(family, fixed_point_functor(module, family))
-    for degree, degree_route in enumerate(
-            (bredon_hilbert90, brauer_intersection, odd_vanishing_check), 1):
-        degree_route(p, 4, 1, family)
+    functor = fixed_point_functor(module, family)
+    route, nerve = CyclicComplex(functor), BredonComplex(family, functor)
+    for degree in (1, 2, 3):
+        route.cohomology(degree)
         nerve.cohomology(degree)
     monkeypatch.undo()
     assert any(moduli for _, moduli, _ in seen)

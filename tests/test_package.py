@@ -22,19 +22,33 @@ def test_public_names_resolve_once():
     assert set(imported) == set(names)
 
 
+# Entry points that the benchmark's tracer still lists but the package
+# removed on purpose: each degree is read off one complex instead.  The
+# tracer reports them as missing, which is not fatal; the next change to the
+# benchmark drops them from its ENTRY_POINTS, and then this set goes.
+REMOVED_ENTRY_POINTS = {
+    "orbitcoh.bredon.bredon_cohomology",
+    "orbitcoh.bredon.bar_cohomology",
+    "orbitcoh.galoisff.bredon_hilbert90",
+    "orbitcoh.galoisff.brauer_intersection",
+    "orbitcoh.galoisff.odd_vanishing_check",
+    "orbitcoh.galoisff.closed_unit_families",
+}
+
+
 def test_benchmark_entry_points_resolve():
     # the traced benchmark wraps these by qualified name and only reports a
     # renamed one as missing, so a rename has to fail here
     tracer = _load_tracer()
-    missing = []
+    missing = set()
     for qualname in tracer.ENTRY_POINTS:
         found = tracer._resolve(qualname)
         fn = found[2] if found else None
         if isinstance(fn, classmethod):
             fn = fn.__func__
         if not callable(fn):
-            missing.append(qualname)
-    assert not missing
+            missing.add(qualname)
+    assert missing == REMOVED_ENTRY_POINTS
 
 
 def test_imports_are_relative_or_standard_library():

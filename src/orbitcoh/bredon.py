@@ -37,6 +37,13 @@ being |H_1/H_0|^(q // 2) times the projection's module map (the comparison
 maps of the resolutions, which compose strictly), the others the identity.
 A degree has a few blocks where the nerve of the trivial family alone has
 (|G| - 1)^n chains; BredonComplex stays the oracle it is checked against.
+
+Each complex supplies its layout (the blocks of a degree, under its own size
+cap), _values(degree), one group per block in block order, and
+_entries(degree, src_off, dst_off), the entries of d^degree given each
+block's first generator in C^degree and in C^{degree+1}, then the total.
+_CochainComplex builds, caches and hands out every cochain group and
+differential, and reads cohomology off them.
 """
 
 from __future__ import annotations
@@ -67,9 +74,9 @@ DEFAULT_SIZE_CAP = DEFAULT_CHAIN_CAP
 class _CochainComplex:
     """Cohomology of a cochain complex from its differentials.
 
-    Subclasses assemble differential(degree), a map of presented groups
-    C^degree -> C^{degree+1}, and cache it in _diffs; the subquotient step
-    is shared.
+    Subclasses supply their blocks and entries (see the module docstring);
+    this class builds and caches every cochain group and differential, and
+    the subquotient step is shared.
 
     Whether d^n @ d^{n-1} vanishes over Z is tested once per degree,
     exactly (intlin.product_vanishes), for the d.d check and subquotient's
@@ -89,9 +96,33 @@ class _CochainComplex:
     """
 
     def __init__(self):
+        self._blocks_at: dict[int, tuple[FgAbGroup, list[int]]] = {}
         self._diffs: dict[int, AbHom] = {}
         self._vanishes: dict[int, bool] = {}
         self._eliminated: dict[int, tuple[list[int], dict[int, int]]] = {}
+
+    def _blocks(self, degree: int) -> tuple[FgAbGroup, list[int]]:
+        """(C^degree, each block's first generator, then the total)."""
+        got = self._blocks_at.get(degree)
+        if got is None:
+            values = self._values(degree)
+            got = self._blocks_at[degree] = (
+                direct_sum_groups(values),
+                list(accumulate((v.ngens for v in values), initial=0)))
+        return got
+
+    def cochain_group(self, degree: int) -> FgAbGroup:
+        return self._blocks(degree)[0]
+
+    def differential(self, degree: int) -> AbHom:
+        """d^degree: C^degree -> C^{degree+1}, assembled once."""
+        got = self._diffs.get(degree)
+        if got is None:
+            source, src_off = self._blocks(degree)
+            target, dst_off = self._blocks(degree + 1)
+            got = self._diffs[degree] = AbHom(source, target, IntMatrix._own(
+                dst_off[-1], src_off[-1], self._entries(degree, src_off, dst_off)))
+        return got
 
     def _differentials_at(self, degree: int) -> tuple[AbHom, AbHom]:
         """(d^{degree-1}, d^degree), with the zero map into degree 0."""
@@ -154,51 +185,32 @@ class BredonComplex(_CochainComplex):
             raise BadParametersError("module and family disagree on the group")
         if module.family.member_sets() != family.member_sets():
             raise BadParametersError("module and family disagree on the members")
-        self.family = family
-        self.module = module
-        self.size_cap = size_cap
+        self.family, self.module, self.size_cap = family, module, size_cap
         self.cat = module.cat
-        self.block_size = [g.ngens for g in module.values]
-        self._blocks_at: dict[int, tuple] = {}
         super().__init__()
 
     def layout(self, degree: int) -> ChainTable:
         """The chains of one degree, within the size cap."""
         return self.cat.chains(degree, self.size_cap)
 
-    def _blocks(self, degree: int):
-        """(cochain group, each chain's first generator, then the total)."""
-        got = self._blocks_at.get(degree)
-        if got is None:
-            starts = self.layout(degree).start
-            got = self._blocks_at[degree] = (
-                direct_sum_groups(self.module.values[s] for s in starts),
-                list(accumulate(map(self.block_size.__getitem__, starts), initial=0)))
-        return got
+    def _values(self, degree: int) -> list[FgAbGroup]:
+        return list(map(self.module.values.__getitem__, self.layout(degree).start))
 
-    def cochain_group(self, degree: int) -> FgAbGroup:
-        return self._blocks(degree)[0]
-
-    def differential(self, degree: int) -> AbHom:
+    def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, in one pass over the rows of the face table of degree
         + 1: face 0 is twisted by the first morphism's module map, face k > 0
         adds (-1)^k on its block's diagonal unless degenerate (-1)."""
-        got = self._diffs.get(degree)
-        if got is not None:
-            return got
-        source, src_off = self._blocks(degree)
-        target, dst_off = self._blocks(degree + 1)
         dst = self.layout(degree + 1)
         n = len(dst.start)
         signs = [(-1) ** k for k in range(degree + 2)] if n else []
         entries: dict[tuple[int, int], int] = {}
         get, maps = entries.get, self.module.maps
-        for r, (s, a, roff) in enumerate(zip(dst.start, dst.first, dst_off)):
+        for r, (a, roff, rend) in enumerate(zip(dst.first, dst_off, dst_off[1:])):
             faces = dst.faces[r::n]
             coff = src_off[faces[0]]
             for (i, j), v in maps[a].entries.items():
                 entries[(roff + i, coff + j)] = v
-            rows = range(roff, roff + self.block_size[s])
+            rows = range(roff, rend)
             for k in range(1, degree + 2):
                 f = faces[k]
                 if f >= 0:
@@ -211,10 +223,7 @@ class BredonComplex(_CochainComplex):
                             entries[key] = v
                         else:
                             del entries[key]
-        mat = IntMatrix._own(dst_off[-1], src_off[-1], entries)
-        hom = AbHom(source, target, mat)
-        self._diffs[degree] = hom
-        return hom
+        return entries
 
 
 class CyclicComplex(_CochainComplex):
@@ -256,7 +265,6 @@ class CyclicComplex(_CochainComplex):
             counts = [sum(map(counts.__getitem__, up)) for up in self._above]
             self._level_sizes.append(sum(counts))
         self._levels = [[(i,) for i in range(len(subs))]]
-        self._blocks_at: dict[int, tuple] = {}
         super().__init__()
 
     def layout(self, degree: int) -> list[tuple[int, ...]]:
@@ -270,48 +278,31 @@ class CyclicComplex(_CochainComplex):
                                  for i, up in enumerate(self._above) if c[0] in up))
         return [c for level in levels[:degree + 1] for c in level]
 
-    def _blocks(self, degree: int):
-        """(cochain group, each chain's first generator)."""
-        got = self._blocks_at.get(degree)
-        if got is None:
-            chains = self.layout(degree)
-            values = [self.module.values[c[0]] for c in chains]
-            got = self._blocks_at[degree] = (
-                direct_sum_groups(values),
-                dict(zip(chains, accumulate((v.ngens for v in values), initial=0))))
-        return got
+    def _values(self, degree: int) -> list[FgAbGroup]:
+        return [self.module.values[c[0]] for c in self.layout(degree)]
 
-    def cochain_group(self, degree: int) -> FgAbGroup:
-        return self._blocks(degree)[0]
-
-    def differential(self, degree: int) -> AbHom:
+    def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, one target block at a time: (-1)^p d_v from the same
         chain, then the faces of the chain, which are distinct chains."""
-        got = self._diffs.get(degree)
-        if got is not None:
-            return got
-        source, src_off = self._blocks(degree)
-        target, dst_off = self._blocks(degree + 1)
+        src = dict(zip(self.layout(degree), src_off))
         entries: dict[tuple[int, int], int] = {}
 
         def put(roff, coff, mat, c):
             for (i, j), v in mat.entries.items():
                 entries[(roff + i, coff + j)] = c * v
 
-        for chain, roff in dst_off.items():
+        for chain, roff in zip(self.layout(degree + 1), dst_off):
             p, h = len(chain) - 1, chain[0]
             q = degree + 1 - p
             if q:
-                put(roff, src_off[chain], self._vertical[h][(q - 1) % 2], (-1) ** p)
+                put(roff, src[chain], self._vertical[h][(q - 1) % 2], (-1) ** p)
             if p:
                 index, proj = self._above[h][chain[1]]
-                put(roff, src_off[chain[1:]], proj, index ** (q // 2))
+                put(roff, src[chain[1:]], proj, index ** (q // 2))
                 for i in range(1, p + 1):
-                    put(roff, src_off[chain[:i] + chain[i + 1:]], self._ident[h],
+                    put(roff, src[chain[:i] + chain[i + 1:]], self._ident[h],
                         (-1) ** i)
-        mat = IntMatrix._own(target.ngens, source.ngens, entries)
-        hom = self._diffs[degree] = AbHom(source, target, mat)
-        return hom
+        return entries
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +329,14 @@ class BarComplex(_CochainComplex):
             self._layout_cache[degree] = got
         return got
 
-    def cochain_group(self, degree: int) -> FgAbGroup:
-        blocks = len(self.tuples(degree))
-        return direct_sum_groups([self.module.carrier] * blocks)
+    def _values(self, degree: int) -> list[FgAbGroup]:
+        return [self.module.carrier] * len(self.tuples(degree))
 
-    def differential(self, degree: int) -> AbHom:
+    def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree.  Tuples are lexicographic, so the one at index r has
         the base-|G| digits c and each face's index is read off them."""
-        got = self._diffs.get(degree)
-        if got is not None:
-            return got
         g, k, n1, q = self.group, self.gens, degree + 1, self.group.order
         pw = [q ** e for e in range(n1 + 1)]
-        dst = self.tuples(n1)
         entries: dict[tuple[int, int], int] = {}
 
         def add(i, j, v):
@@ -361,7 +347,7 @@ class BarComplex(_CochainComplex):
             elif key in entries:
                 del entries[key]
 
-        for r, c in enumerate(dst):
+        for r, c in enumerate(self.tuples(n1)):
             roff = r * k
             coff = (r - c[0] * pw[degree]) * k
             for (i, j), v in self.module.act(c[0]).entries.items():
@@ -378,10 +364,7 @@ class BarComplex(_CochainComplex):
             coff = r // q * k
             for t in range(k):
                 add(roff + t, coff + t, sign)
-        mat = IntMatrix._own(len(dst) * k, pw[degree] * k, entries)
-        hom = AbHom(self.cochain_group(degree), self.cochain_group(degree + 1), mat)
-        self._diffs[degree] = hom
-        return hom
+        return entries
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def reference_differential(cx, degree):
     """The tuple-hash assembly of d^degree: each face is sliced out of its
     chain tuple and looked up by hash, then the entries are merged."""
     cat = cx.cat
-    size = cx.block_size
+    size = [v.ngens for v in cx.module.values]
 
     def layout(n):
         chains = cat.chain_tuples(n)

@@ -169,3 +169,26 @@ def test_a_string_does_not_name_a_method():
     unnamed = unnamed_definitions({"pkg.mod": source}, [],
                                   {"pkg.mod.C.by_entry_point"})
     assert unnamed == {"C.by_string"}
+
+
+def test_every_complex_supplies_its_blocks_and_entries_alone():
+    # _CochainComplex builds, caches and hands out every cochain group and
+    # differential; a complex that defined them again would fork the caching
+    from orbitcoh import bredon
+    base = bredon._CochainComplex
+    complexes = [c for c in vars(bredon).values()
+                 if isinstance(c, type) and issubclass(c, base) and c is not base]
+    assert len(complexes) >= 3
+    for cls in complexes:
+        own = set(vars(cls))
+        assert {"_values", "_entries"} <= own, cls.__name__
+        assert not {"_blocks", "cochain_group", "differential"} & own, cls.__name__
+    # and the caches are made in the scaffold's constructor alone
+    made = [(cls.name, fn.name)
+            for cls in ast.parse(Path(bredon.__file__).read_text(encoding="utf-8")).body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr in ("_blocks_at", "_diffs")]
+    assert made == [("_CochainComplex", "__init__")] * 2

@@ -9,7 +9,10 @@ groups.  The oracle file pins the bar complex's groups with their degrees.
 The galois and cohomology files come from the presentation route of
 subquotient (coefficients whose d o d vanishes only modulo the relations,
 and a module file with mixed torsion), so they pin preimage_generators'
-results through every later normal form.
+results through every later normal form.  The family-close files pin
+closure under conjugation, which conjugates by the group's generators, and
+the S4 table file goes through table validation, which checks associativity
+on those generators.
 """
 
 from pathlib import Path
@@ -47,7 +50,17 @@ CASES = [
      ["cohomology", "--group", "c4", "--family", "trivial-only",
       "--module", str(PINNED / "module_c4_z2_z4_z.json"),
       "--degrees", "0..4", "--check"]),
+    ("cohomology_s4_table_cyclic_z.json",
+     ["cohomology", "--group", str(PINNED / "group_s4_table.json"),
+      "--family", "cyclic", "--module", "z-trivial", "--degrees", "0..2",
+      "--check"]),
 ]
+for _group in ("a4", "d4", "q8", "dic3"):
+    for _suffix, _flags in (("conj", ["--conjugation"]),
+                            ("conj_sub", ["--conjugation", "--subgroups"])):
+        CASES.append((f"family_close_{_group}_{_suffix}.json",
+                      ["family-close", "--group", _group, "--family",
+                       str(PINNED / f"family_{_group}_one.json"), *_flags]))
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])

@@ -11,6 +11,8 @@ from .bredon import (
     BarComplex,
     BredonComplex,
     CyclicComplex,
+    NormalFamilyComplex,
+    cochain_complex,
     restriction_kernel_intersection,
 )
 from .coeff import (
@@ -63,9 +65,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AbHom", "BarComplex", "BredonComplex", "CharacterGroup", "CyclicComplex",
     "FDerivation", "FStructureClass", "FStructureWitness", "Family", "FgAbGroup",
-    "FiniteGroup", "GModule", "IntMatrix", "OrbitModule", "OrbitMorphism",
-    "Subgroup", "builtin_group", "character_group", "closed_families",
-    "compose", "constant_orbit_module", "cyclic_family",
+    "FiniteGroup", "GModule", "IntMatrix", "NormalFamilyComplex",
+    "OrbitModule", "OrbitMorphism", "Subgroup", "builtin_group",
+    "character_group", "closed_families", "cochain_complex", "compose",
+    "constant_orbit_module", "cyclic_family",
     "enumerate_f_structures", "f_derivation_quotient", "family_close",
     "fixed_point_free_prime_power_element", "fixed_point_functor",
     "full_family", "groups_up_to_order", "h0_limit", "invariants",

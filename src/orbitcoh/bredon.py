@@ -38,6 +38,30 @@ maps of the resolutions, which compose strictly), the others the identity.
 A degree has a few blocks where the nerve of the trivial family alone has
 (|G| - 1)^n chains; BredonComplex stays the oracle it is checked against.
 
+When every member of the family is normal, NormalFamilyComplex does the
+same with bar resolutions.  Hom(G/K, G/H) = G/H for K <= H, so the orbit
+category is again the Grothendieck construction of H |-> G/H, and the
+normalized bar resolutions of the quotients (Brown, I.5) laid over the
+strict chains resolve the constant functor (Thomason's homotopy colimit
+theorem): one block M(G/H_0) per strict chain H_0 < ... < H_p and per cell
+(g_1, ..., g_q) of non-identity automorphisms of G/H_0, n = p + q, with
+d = d_h + (-1)^p d_v.  d_v is the bar differential of G/H_0 on M(G/H_0);
+face 0 of d_h sends a cell to its image under G/H_0 -> G/H_1 (none if an
+image is the identity) times the projection's module map, the other faces
+are the identity.  The bar construction is a functor of the group, so the
+projections map the resolutions to each other by chain maps that compose
+strictly along a chain: no higher homotopies enter d_h.  The cells in degree
+n are far fewer than the nerve's chains wherever one member lies in another,
+as a map G/H_0 -> G/H_1 enters only as the projection.
+
+cochain_complex picks the complex a command reads: CyclicComplex for a
+cyclic group, NormalFamilyComplex for normal members with a strict
+inclusion among them, the nerve otherwise (on an antichain of normal
+members the bar cells are the nerve's chains).  The two strict-chain
+complexes share _StrictChains: the chains, their counts by length and start,
+the size cap, which counts the blocks of one degree from those counts before
+any chain is listed, and the faces 1..p.
+
 Each complex supplies its layout (the blocks of a degree, under its own size
 cap), _values(degree), one group per block in block order, and
 _entries(degree, src_off, dst_off), the entries of d^degree given each
@@ -48,7 +72,7 @@ differential, and reads cohomology off them.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 
 from .coeff import GModule, OrbitModule
 from .errors import BadParametersError, SizeLimitError
@@ -226,7 +250,74 @@ class BredonComplex(_CochainComplex):
         return entries
 
 
-class CyclicComplex(_CochainComplex):
+def _cyclic_generator(group) -> int | None:
+    """An element of the group's own order, or None when it is not cyclic."""
+    return next((a for a in range(group.order)
+                 if group.element_order(a) == group.order), None)
+
+
+class _StrictChains:
+    """The strict-chain layer that CyclicComplex and NormalFamilyComplex
+    share: the strict chains H_0 < ... < H_p of the module's objects, where
+    their blocks start, and the faces 1..p of d_h.
+
+    A chain from object i carries width[i] ** q blocks M(G/H_0) in degree
+    p + q.  The size cap counts the blocks of one degree, from the counts
+    of chains by length and start alone, before any chain is listed.
+    """
+
+    def __init__(self, module: OrbitModule, size_cap: int, width: list[int]):
+        self.module, self.size_cap, self._width = module, size_cap, width
+        subs = module.cat.subgroups
+        members = [set(h.members) for h in subs]
+        # the members strictly above H, each with the projection's module map
+        self._above = [
+            {j: module.map_matrix(OrbitMorphism(h, k, 0))
+             for j, k in enumerate(subs) if members[i] < members[j]}
+            for i, h in enumerate(subs)]
+        # the number of strict chains of each length from each start, up to
+        # the first length with none
+        self._counts = [[1] * len(subs)]
+        while any(self._counts[-1]):
+            self._counts.append([sum(map(self._counts[-1].__getitem__, up))
+                                 for up in self._above])
+        self._levels = [[(i,) for i in range(len(subs))]]
+        super().__init__()
+
+    def layout(self, degree: int) -> list[tuple[int, ...]]:
+        """The strict chains of the blocks of one degree, by length, then in
+        lexicographic order, within the size cap."""
+        width = self._width
+        total = sum(c * width[i] ** (degree - p)
+                    for p, counts in enumerate(self._counts[:degree + 1])
+                    for i, c in enumerate(counts))
+        if total > self.size_cap:
+            raise SizeLimitError(total, self.size_cap)
+        levels = self._levels
+        while len(levels) <= degree and levels[-1]:
+            levels.append(sorted((i,) + c for c in levels[-1]
+                                 for i, up in enumerate(self._above) if c[0] in up))
+        return [c for level in levels[:degree + 1] for c in level]
+
+    def _offsets(self, degree: int, off: list[int]) -> dict:
+        """Each chain of the degree to its first generator, given the blocks'."""
+        chains, width = self.layout(degree), self._width
+        firsts = accumulate((width[c[0]] ** (degree + 1 - len(c)) for c in chains),
+                            initial=0)
+        return dict(zip(chains, map(off.__getitem__, firsts)))
+
+    @staticmethod
+    def _inner_faces(entries: dict, chain, roff: int, src: dict, size: int):
+        """Faces 1..p of d_h into chain's blocks at roff: (-1)^i times the
+        identity from the chain without H_i, over its first size generators."""
+        rows = range(roff, roff + size)
+        for i in range(1, len(chain)):
+            coff = src[chain[:i] + chain[i + 1:]]
+            entries.update(zip(zip(rows, range(coff, coff + size)),
+                               repeat(-1 if i % 2 else 1)))
+
+
+class CyclicComplex(_StrictChains, _CochainComplex):
     """Cochain complex of an orbit module over a cyclic group on the
     periodic resolution (see the module docstring), for any family.
 
@@ -237,46 +328,18 @@ class CyclicComplex(_CochainComplex):
 
     def __init__(self, module: OrbitModule, size_cap: int = DEFAULT_SIZE_CAP):
         cat, group = module.cat, module.cat.group
-        gen = next((a for a in range(group.order)
-                    if group.element_order(a) == group.order), None)
+        gen = _cyclic_generator(group)
         if gen is None:
             raise BadParametersError(f"{group.name} is not cyclic")
-        self.module, self.size_cap = module, size_cap
-        subs = cat.subgroups
-        self._ident = [IntMatrix.identity(v.ngens) for v in module.values]
         norm = [IntMatrix(v.ngens, v.ngens) for v in module.values]
         for k, (s, t) in enumerate(zip(cat.m_src, cat.m_tgt)):
             if s == t:
                 norm[s] = norm[s] + module.maps[k]
         # d_v at H: (g - 1, the norm)
         self._vertical = [(module.map_matrix(OrbitMorphism(
-            h, h, canonical_rep(group, gen, h))) - e, nm)
-            for h, e, nm in zip(subs, self._ident, norm)]
-        # the members strictly above H, each with (|K/H|, the projection's map)
-        members = [set(h.members) for h in subs]
-        self._above = [
-            {j: (k.size // h.size, module.map_matrix(OrbitMorphism(h, k, 0)))
-             for j, k in enumerate(subs) if members[i] < members[j]}
-            for i, h in enumerate(subs)]
-        # the number of strict chains of each length, up to the first zero
-        counts = [1] * len(subs)
-        self._level_sizes = [len(subs)]
-        while self._level_sizes[-1]:
-            counts = [sum(map(counts.__getitem__, up)) for up in self._above]
-            self._level_sizes.append(sum(counts))
-        self._levels = [[(i,) for i in range(len(subs))]]
-        super().__init__()
-
-    def layout(self, degree: int) -> list[tuple[int, ...]]:
-        """The strict chains of the blocks of one degree, within the size cap."""
-        total = sum(self._level_sizes[:degree + 1])
-        if total > self.size_cap:
-            raise SizeLimitError(total, self.size_cap)
-        levels = self._levels
-        while len(levels) <= degree and levels[-1]:
-            levels.append(sorted((i,) + c for c in levels[-1]
-                                 for i, up in enumerate(self._above) if c[0] in up))
-        return [c for level in levels[:degree + 1] for c in level]
+            h, h, canonical_rep(group, gen, h))) - IntMatrix.identity(v.ngens), nm)
+            for h, v, nm in zip(cat.subgroups, module.values, norm)]
+        super().__init__(module, size_cap, [1] * len(cat.subgroups))
 
     def _values(self, degree: int) -> list[FgAbGroup]:
         return [self.module.values[c[0]] for c in self.layout(degree)]
@@ -284,25 +347,162 @@ class CyclicComplex(_CochainComplex):
     def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, one target block at a time: (-1)^p d_v from the same
         chain, then the faces of the chain, which are distinct chains."""
-        src = dict(zip(self.layout(degree), src_off))
+        src = self._offsets(degree, src_off)
+        subs, values = self.module.cat.subgroups, self.module.values
         entries: dict[tuple[int, int], int] = {}
 
         def put(roff, coff, mat, c):
             for (i, j), v in mat.entries.items():
                 entries[(roff + i, coff + j)] = c * v
 
-        for chain, roff in zip(self.layout(degree + 1), dst_off):
+        for chain, roff in self._offsets(degree + 1, dst_off).items():
             p, h = len(chain) - 1, chain[0]
             q = degree + 1 - p
             if q:
                 put(roff, src[chain], self._vertical[h][(q - 1) % 2], (-1) ** p)
             if p:
-                index, proj = self._above[h][chain[1]]
-                put(roff, src[chain[1:]], proj, index ** (q // 2))
-                for i in range(1, p + 1):
-                    put(roff, src[chain[:i] + chain[i + 1:]], self._ident[h],
-                        (-1) ** i)
+                k = chain[1]
+                put(roff, src[chain[1:]], self._above[h][k],
+                    (subs[k].size // subs[h].size) ** (q // 2))
+                self._inner_faces(entries, chain, roff, src, values[h].ngens)
         return entries
+
+
+class NormalFamilyComplex(_StrictChains, _CochainComplex):
+    """Cochain complex of an orbit module whose family has normal members
+    alone, on the bar resolutions of the G/H laid over the strict chains
+    (see the module docstring).
+
+    In one degree the blocks follow the chains as CyclicComplex's do, and a
+    chain's blocks follow its cells (g_1, ..., g_q) lexicographically, each
+    g_i a non-identity automorphism of G/H_0 in the category's order.  The
+    size cap counts the blocks of one degree.
+    """
+
+    def __init__(self, module: OrbitModule, size_cap: int = DEFAULT_SIZE_CAP):
+        cat = module.cat
+        if not all(h.is_normal() for h in cat.subgroups):
+            raise BadParametersError(
+                f"a family member is not normal in {cat.group.name}")
+        # the automorphisms of each G/H but the identity, and _comp[h][a][b]
+        # the place of autos a then b among them, -1 where that is the identity
+        self._autos = [[m for m in out if cat.m_tgt[m] == i
+                        and not cat.morphs[m].is_identity()]
+                       for i, out in enumerate(cat.out)]
+        places = [{m: a for a, m in enumerate(autos)} for autos in self._autos]
+        self._comp = [[[place.get(cat.compose_ids(x, y), -1) for y in autos]
+                       for x in autos] for place, autos in zip(places, self._autos)]
+        self._bars: dict[tuple[int, int], list] = {}
+        self._projections: dict[tuple[int, int, int], list] = {}
+        super().__init__(module, size_cap, list(map(len, self._autos)))
+
+    def _values(self, degree: int) -> list[FgAbGroup]:
+        values, width = self.module.values, self._width
+        return [values[c[0]] for c in self.layout(degree)
+                for _ in range(width[c[0]] ** (degree + 1 - len(c)))]
+
+    def _entries(self, degree: int, src_off, dst_off) -> dict:
+        """d^degree, one target chain at a time: (-1)^p d_v from the same
+        chain, face 0 of d_h from the chain without H_0, then faces 1..p;
+        d_v and face 0 shift one table each, built once per object or pair."""
+        src = self._offsets(degree, src_off)
+        values, width = self.module.values, self._width
+        entries: dict[tuple[int, int], int] = {}
+        for chain, roff in self._offsets(degree + 1, dst_off).items():
+            p, h = len(chain) - 1, chain[0]
+            q = degree + 1 - p
+            if q:
+                coff, sign = src[chain], -1 if p % 2 else 1
+                entries.update({(roff + i, coff + j): sign * v
+                                for i, j, v in self._bar(h, q)})
+            if p:
+                coff = src[chain[1:]]
+                entries.update({(roff + i, coff + j): v
+                                for i, j, v in self._projection(h, chain[1], q)})
+                self._inner_faces(entries, chain, roff, src,
+                                  width[h] ** q * values[h].ngens)
+        return entries
+
+    def _bar(self, h: int, q: int) -> list[tuple[int, int, int]]:
+        """d_v into the q-cells of object h from its (q-1)-cells, as (row,
+        column, value) in generators: the normalized bar differential of G/H
+        on M(G/H).  Face 0 drops g_1 and is twisted by its module map, face
+        0 < i < q puts g_i g_{i+1} in their place (none where that is the
+        identity), face q drops g_q."""
+        got = self._bars.get((h, q))
+        if got is None:
+            k, n = len(self._autos[h]), self.module.values[h].ngens
+            below = k ** (q - 1)
+            # faces 1..q in cells, cell t being sum g_i k^(q - i): (t, s) to
+            # the coefficient of the identity from cell s
+            ident: dict[tuple[int, int], int] = {}
+            get = ident.get
+            if q > 1:
+                comp = self._comp[h]
+                for t in range(k * below):
+                    for i in range(1, q):
+                        w = k ** (q - i - 1)        # the weight of g_{i+1}
+                        head, pair = divmod(t // w, k * k)
+                        c = comp[pair // k][pair % k]
+                        if c >= 0:
+                            key = (t, (head * k + c) * w + t % w)
+                            ident[key] = get(key, 0) + (-1 if i % 2 else 1)
+            last = -1 if q % 2 else 1
+            for t in range(k * below):
+                key = (t, t // k)
+                ident[key] = get(key, 0) + last
+            # face 0, in generators, then the identity faces on top of it
+            maps, autos = self.module.maps, self._autos[h]
+            acc = {(t * n + i, t % below * n + j): v
+                   for t in range(k * below)
+                   for (i, j), v in maps[autos[t // below]].entries.items()}
+            get = acc.get
+            for (t, s), c in ident.items():
+                if c:
+                    for e in range(n):
+                        key = (t * n + e, s * n + e)
+                        acc[key] = get(key, 0) + c
+            got = self._bars[(h, q)] = [(i, j, v) for (i, j), v in acc.items() if v]
+        return got
+
+    def _projection(self, h: int, top: int, q: int) -> list[tuple[int, int, int]]:
+        """Face 0 of d_h into the q-cells of object h from those of object
+        top, as (row, column, value) in generators: each cell to its image
+        under G/H -> G/H_top (none where an image is the identity), times the
+        projection's module map."""
+        key = (h, top, q)
+        got = self._projections.get(key)
+        if got is None:
+            cat = self.module.cat
+            group, target = cat.group, cat.subgroups[top]
+            pos = {cat.morphs[m].rep: a for a, m in enumerate(self._autos[top])}
+            image = [pos.get(canonical_rep(group, cat.morphs[m].rep, target), -1)
+                     for m in self._autos[h]]
+            k = len(pos)
+            cells = [0]
+            for _ in range(q):
+                cells = [c * k + d if c >= 0 and d >= 0 else -1
+                         for c in cells for d in image]
+            n, n_top = self.module.values[h].ngens, self.module.values[top].ngens
+            proj = list(self._above[h][top].entries.items())
+            got = self._projections[key] = [
+                (t * n + i, c * n_top + j, v)
+                for t, c in enumerate(cells) if c >= 0 for (i, j), v in proj]
+        return got
+
+
+def cochain_complex(module: OrbitModule,
+                    size_cap: int = DEFAULT_SIZE_CAP) -> _CochainComplex:
+    """The complex the module's cohomology is read off, picked from what the
+    input shows (see the module docstring)."""
+    cat = module.cat
+    if _cyclic_generator(cat.group) is not None:
+        return CyclicComplex(module, size_cap)
+    members = [set(h.members) for h in cat.subgroups]
+    if any(a < b for a in members for b in members) \
+            and all(h.is_normal() for h in cat.subgroups):
+        return NormalFamilyComplex(module, size_cap)
+    return BredonComplex(module.family, module, size_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .bredon import (
     BarComplex,
     BredonComplex,
     CyclicComplex,
+    cochain_complex,
     restriction_kernel_intersection,
 )
 from .coeff import GModule, fixed_point_functor, sign_modules
@@ -299,7 +300,7 @@ def characters_suite(threads: int = 1) -> SuiteReport:
             fams = closed_families(group)
             for fam in fams:
                 om = fixed_point_functor(module, fam)
-                h2 = BredonComplex(fam, om).cohomology(2)
+                h2 = cochain_complex(om).cohomology(2)
                 cg = character_group(group.full_subgroup(), fam)
                 assert h2.normal_form == cg.group.normal_form, \
                     f"mismatch at {fam.member_sets()}"

@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .bredon import DEFAULT_SIZE_CAP, BarComplex, BredonComplex, CyclicComplex
+from .bredon import DEFAULT_SIZE_CAP, BarComplex, CyclicComplex, cochain_complex
 from .checks import available_suites, run_suites
 from .coeff import GModule, fixed_point_functor, sign_modules
 from .errors import (
@@ -252,7 +252,7 @@ def cmd_cohomology(args) -> int:
     module = load_module(args.module, group)
     degrees = parse_degrees(args.degrees, args.size_cap)
     om = fixed_point_functor(module, family)
-    cx = BredonComplex(family, om, size_cap=args.size_cap)
+    cx = cochain_complex(om, args.size_cap)
     results = []
     checks = []
     failed = False
@@ -317,7 +317,7 @@ def cmd_structures(args) -> int:
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
-        h2 = BredonComplex(family, om, args.size_cap).cohomology(2)
+        h2 = cochain_complex(om, args.size_cap).cohomology(2)
         doc["h2_order"] = h2.order()
         failed = h2.order() != len(classes)
         doc["check_passed"] = not failed
@@ -339,7 +339,7 @@ def cmd_derivations(args) -> int:
     failed = False
     if args.check:
         om = fixed_point_functor(module, family)
-        h1 = BredonComplex(family, om, args.size_cap).cohomology(1)
+        h1 = cochain_complex(om, args.size_cap).cohomology(1)
         doc["h1"] = _at(1, h1)
         failed = h1.normal_form != quotient.normal_form
         if "splitting_classes" in doc and h1.order() is not None:

@@ -56,7 +56,7 @@ class GModule:
         if not AbHom(self.carrier, self.carrier, self.actions[0]).equal_hom(ident):
             raise BadParametersError("identity element must act as the identity")
         # on generators only: exact, by induction over words (module docstring)
-        gens = self.group.full_subgroup().generators()
+        gens = self.group.generating_set
         for a in range(self.group.order):
             for b in gens:
                 ab = self.group.mul(a, b)

@@ -11,6 +11,7 @@ in O(n^2 * #generators) steps, and family_close conjugates by them alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .errors import (
@@ -55,7 +56,7 @@ class FiniteGroup:
         # Light's test: the c with (ab)c = a(bc) for all a, b are closed
         # under products, so checking the greedy generators is exact
         t = self.table
-        gens = self.full_subgroup().generators()
+        gens = self.generating_set
         for a in range(n):
             for b in range(n):
                 ab = t[a][b]
@@ -70,6 +71,11 @@ class FiniteGroup:
     def conj(self, x: int, a: int) -> int:
         """x^-1 a x."""
         return self.mul(self.mul(self.inverse[x], a), x)
+
+    @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """The greedy generators of the whole group, found once."""
+        return self.full_subgroup().generators()
 
     def element_order(self, a: int) -> int:
         x, n = a, 1
@@ -263,6 +269,12 @@ class Subgroup:
         g = self.parent
         return Subgroup(g, tuple(sorted(g.conj(x, a) for a in self.members)))
 
+    def is_normal(self) -> bool:
+        """Whether every conjugate is the subgroup itself, tested on a
+        generating set of the parent (which fixes it then fixes all)."""
+        return all(self.conjugate_by(x).members == self.members
+                   for x in self.parent.generating_set)
+
     def generators(self) -> tuple[int, ...]:
         """A small generating set, greedily chosen in index order."""
         gens: list[int] = []
@@ -367,7 +379,7 @@ def family_close(family: Family, under_conjugation: bool = False,
     current = {s.members: s for s in family.subgroups}
     todo = list(current.values())
     # closed under conjugation by a generating set is closed under all of G
-    gens = family.parent.full_subgroup().generators() if under_conjugation else ()
+    gens = family.parent.generating_set if under_conjugation else ()
     for s in todo:
         extra = [s.conjugate_by(x) for x in gens]
         if under_subgroups:

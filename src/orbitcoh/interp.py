@@ -247,7 +247,7 @@ class FDerivation:
 def _derivations_by_search(fm: FiniteModule, cap: int) -> list[tuple]:
     g = fm.group
     n = g.order
-    gens = g.full_subgroup().generators()
+    gens = g.generating_set
     if not gens:
         return [(fm.zero,) * n]
     if fm.size ** len(gens) > cap:

@@ -101,17 +101,23 @@ def skeleton(family: Family, reduced: bool = True) -> tuple[tuple, dict]:
     """(reps, rep_of): one member per conjugacy class inside the family, the
     first in the family's sorted order among the members conjugate to it
     (every member when not reduced); and for each member P, rep_of[P.members]
-    = (i, a) with a^-1 P a = reps[i], so G/P -> G/reps[i] by a is an iso."""
+    = (i, a) with a^-1 P a = reps[i], so G/P -> G/reps[i] by a is an iso.
+
+    A normal member is its own class, reached first by x = 0, so it gets
+    (i, 0) without the walk over G that finds the others' conjugates."""
     g = family.parent
     members = set(family.member_sets())
     reps: list[Subgroup] = []
     rep_of: dict[tuple[int, ...], tuple[int, int]] = {}
     for s in family.subgroups:
         if s.members not in rep_of:
-            for x in range(g.order) if reduced else (0,):
-                c = s.conjugate_by(x).members      # x^-1 s x
-                if c in members and c not in rep_of:
-                    rep_of[c] = (len(reps), g.inverse[x])
+            if not reduced or s.is_normal():
+                rep_of[s.members] = (len(reps), 0)
+            else:
+                for x in range(g.order):
+                    c = s.conjugate_by(x).members      # x^-1 s x
+                    if c in members and c not in rep_of:
+                        rep_of[c] = (len(reps), g.inverse[x])
             reps.append(s)
     return tuple(reps), rep_of
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitcoh import cli
+from orbitcoh import bredon, cli
 from orbitcoh.cli import main
 from orbitcoh.galoisff import PRIME_BOUND
 
@@ -184,9 +184,9 @@ def test_galois_of_order_14_to_40_answers_in_seconds(capsys, argv):
     assert time.perf_counter() - start < 5
 
 
-@pytest.mark.parametrize("family", ["full", "trivial-only", "non-closed"])
-def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
-                                                          tmp_path, family):
+def count_calls(monkeypatch, module, names) -> dict:
+    """Replace each named callable of module by one that counts its calls;
+    the counts, by name, land in the returned dict."""
     built = {}
 
     def counted(name, make):
@@ -195,8 +195,16 @@ def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
             return make(*args, **kwargs)
         return wrapper
 
-    for name in ("units_gmodule", "fixed_point_functor", "CyclicComplex"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return built
+
+
+@pytest.mark.parametrize("family", ["full", "trivial-only", "non-closed"])
+def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
+                                                          tmp_path, family):
+    built = count_calls(monkeypatch, cli, ("units_gmodule", "fixed_point_functor",
+                                           "CyclicComplex"))
     if family == "non-closed":
         family = write_json(tmp_path, "fam.json",
                             {"subgroups": [[0], [0, 1, 2, 3]]})
@@ -205,6 +213,62 @@ def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
     assert code == 0 and json.loads(out)["all_zero"] is True
     assert built == {"units_gmodule": 1, "fixed_point_functor": 1,
                      "CyclicComplex": 1}
+
+
+# (group, family, the one complex cohomology builds): bar cells over the
+# strict chains of normal members, the periodic resolution of a cyclic
+# group, and the nerve for an antichain or a member that is not normal
+ROUTES = [
+    ("c2xc2xc2", "closed", "NormalFamilyComplex"),
+    ("q8", "cyclic", "NormalFamilyComplex"),
+    ("c6", "trivial-only", "CyclicComplex"),
+    ("s3", "trivial-only", "BredonComplex"),
+    ("d4", "cyclic", "BredonComplex"),
+]
+
+
+@pytest.mark.parametrize("group, family, route", ROUTES,
+                         ids=[f"{g}-{f}" for g, f, _ in ROUTES])
+def test_cohomology_builds_one_complex_of_its_route(capsys, monkeypatch, tmp_path,
+                                                    group, family, route):
+    built = count_calls(monkeypatch, bredon, ("NormalFamilyComplex",
+                                              "CyclicComplex", "BredonComplex"))
+    if family == "closed":
+        family = write_json(tmp_path, "fam.json",
+                            {"subgroups": [[0]] + [[0, x] for x in range(1, 8)]})
+    code, out, _ = run_cli(capsys, "cohomology", "--group", group, "--family", family,
+                           "--module", "z-trivial", "--degrees", "0..2", "--check")
+    assert code == 0 and all(c["passed"] for c in json.loads(out)["checks"])
+    assert built == {route: 1}
+
+
+def test_a_long_single_chain_answers_at_once(capsys):
+    # c2 goes to the periodic resolution, one block per degree; the nerve
+    # built every face table below degree 3000
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "cohomology", "--group", "c2", "--family",
+                           "trivial-only", "--module", "z-trivial", "--degrees", "3000")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"degree": 3000, "rank": 0, "torsion": [2]}]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_periodic_route_caps_blocks_where_the_nerve_had_fewer_chains(capsys):
+    # c2's full family: degree 2 has 3 blocks (two members and the pair)
+    # against the nerve's 2 chains, so cap 2 stops H^1
+    code, out, err = run_cli(capsys, "--size-cap", "2", "cohomology", "--group", "c2",
+                             "--family", "full", "--module", "z-trivial",
+                             "--degrees", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == "enumeration needs 3 items, cap is 2"
+
+
+def test_the_bar_cells_fit_a_cap_the_nerve_did_not(capsys):
+    # c2xc2's full family: degree 2 has 13 bar cells against 48 nerve chains
+    code, out, _ = run_cli(capsys, "--size-cap", "40", "cohomology", "--group", "c2xc2",
+                           "--family", "full", "--module", "z-trivial", "--degrees", "1")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"degree": 1, "rank": 0, "torsion": []}]
 
 
 def test_galois_of_order_447_answers_in_seconds(capsys):

@@ -8,8 +8,8 @@ on every later call.
 
 import pytest
 
-from orbitcoh.bredon import BarComplex, BredonComplex, CyclicComplex
-from orbitcoh.coeff import GModule, fixed_point_functor
+from orbitcoh.bredon import BarComplex, BredonComplex, CyclicComplex, NormalFamilyComplex
+from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
 from orbitcoh.groups import FiniteGroup, builtin_group, cyclic_family, full_family
 from orbitcoh.intlin import FgAbGroup, IntMatrix
 
@@ -31,11 +31,18 @@ def cyclic_c6_full_z4():
     return CyclicComplex(fixed_point_functor(GModule.trivial(group, _cyclic(4)), family))
 
 
+def normal_q8_cyclic_sign():
+    group = builtin_group("q8")
+    family = cyclic_family(group)
+    module = sign_modules(group)[0]
+    return NormalFamilyComplex(fixed_point_functor(module, family))
+
+
 def bar_s3_z2():
     return BarComplex(GModule.trivial(builtin_group("s3"), _cyclic(2)))
 
 
-COMPLEXES = [bredon_d4_cyclic_z, cyclic_c6_full_z4, bar_s3_z2]
+COMPLEXES = [bredon_d4_cyclic_z, cyclic_c6_full_z4, normal_q8_cyclic_sign, bar_s3_z2]
 
 
 @pytest.mark.parametrize("make", COMPLEXES, ids=lambda f: f.__name__)

@@ -1,13 +1,20 @@
 import pytest
 
 from orbitcoh.errors import BadParametersError, NotComposableError, SizeLimitError
-from orbitcoh.groups import Family, FiniteGroup, builtin_group, full_family
+from orbitcoh.groups import (
+    Family,
+    FiniteGroup,
+    builtin_group,
+    builtin_group_names,
+    full_family,
+)
 from orbitcoh.orbitcat import (
     OrbitCategory,
     OrbitMorphism,
     compose,
     fixed_coset_count,
     morphisms,
+    skeleton,
 )
 
 
@@ -200,3 +207,27 @@ def test_every_member_has_an_object_and_a_conjugating_iso():
                 assert there in morphisms(p, r) and back in morphisms(r, p)
                 assert compose(there, back).is_identity()
                 assert compose(back, there).is_identity()
+
+
+def _skeleton_by_walk(family):
+    """skeleton as it was before normal members skipped the walk: every
+    new representative is conjugated by each element of G in turn."""
+    g = family.parent
+    members = set(family.member_sets())
+    reps, rep_of = [], {}
+    for s in family.subgroups:
+        if s.members not in rep_of:
+            for x in range(g.order):
+                c = s.conjugate_by(x).members
+                if c in members and c not in rep_of:
+                    rep_of[c] = (len(reps), g.inverse[x])
+            reps.append(s)
+    return tuple(reps), rep_of
+
+
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_skeleton_equals_the_walk_over_the_group(name):
+    # a normal member keeps (i, 0) without the walk; every other member
+    # keeps the isomorphism the walk chose, so cocycle coordinates stay put
+    family = full_family(builtin_group(name))
+    assert skeleton(family) == _skeleton_by_walk(family)

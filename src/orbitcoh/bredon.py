@@ -39,20 +39,38 @@ A degree has a few blocks where the nerve of the trivial family alone has
 (|G| - 1)^n chains; BredonComplex stays the oracle it is checked against.
 
 When every member of the family is normal, NormalFamilyComplex does the
-same with bar resolutions.  Hom(G/K, G/H) = G/H for K <= H, so the orbit
-category is again the Grothendieck construction of H |-> G/H, and the
-normalized bar resolutions of the quotients (Brown, I.5) laid over the
-strict chains resolve the constant functor (Thomason's homotopy colimit
-theorem): one block M(G/H_0) per strict chain H_0 < ... < H_p and per cell
-(g_1, ..., g_q) of non-identity automorphisms of G/H_0, n = p + q, with
-d = d_h + (-1)^p d_v.  d_v is the bar differential of G/H_0 on M(G/H_0);
-face 0 of d_h sends a cell to its image under G/H_0 -> G/H_1 (none if an
-image is the identity) times the projection's module map, the other faces
-are the identity.  The bar construction is a functor of the group, so the
-projections map the resolutions to each other by chain maps that compose
-strictly along a chain: no higher homotopies enter d_h.  The cells in degree
-n are far fewer than the nerve's chains wherever one member lies in another,
-as a map G/H_0 -> G/H_1 enters only as the projection.
+same with resolutions of the quotients.  Hom(G/K, G/H) = G/H for K <= H,
+so the orbit category is again the Grothendieck construction of H |-> G/H,
+and resolutions of Z over the G/H_0, mapped to each other along the
+projections by chain maps that compose strictly, laid over the strict
+chains resolve the constant functor (Thomason's homotopy colimit theorem):
+one block M(G/H_0) per strict chain H_0 < ... < H_p and per generator of
+H_0's resolution in degree q, n = p + q, with d = d_h + (-1)^p d_v.  d_v is
+that resolution's differential on M(G/H_0); faces 1..p of d_h are the
+identity.  An object keeps the normalized bar resolution of G/H_0 (Brown,
+I.5), one generator per cell (g_1, ..., g_q) of non-identity automorphisms,
+unless it is a minimal member (no member lies strictly inside it) whose
+quotient is abelian.  Such a G/H_0 = <t_1> x ... x <t_r> (_cyclic_factors,
+a normal form of its relation lattice) takes the tensor product of the
+periodic resolutions of the <t_j> (Brown, I.6 and V.1), one generator e_a
+per a in N^r with |a| = q, C(q + r - 1, r - 1) of them against the bar's
+(|G/H_0| - 1)^q: d e_a = sum_j (-1)^(a_1 + ... + a_{j-1}) theta_j
+e_(a - delta_j), theta_j being t_j - 1 for odd a_j and the norm of <t_j>
+for even a_j.  Face 0 of d_h sends a cochain phi on H_1's bar cells to
+M(pi) o phi o B(pi) o c: B(pi) maps a cell to its image under G/H_0 ->
+G/H_1 (none if an image is the identity), and c is the comparison map from
+H_0's resolution to its bar resolution, c_0(e) = [] and c_q(e) =
+s(c_{q-1}(d e)) with s(x[g_1|...]) = [x|g_1|...] the bar resolution's
+contracting homotopy, so each c_q(e) is an integer combination of cells (on
+the bar resolution c is the identity).  The bar construction is a functor
+of the group and a minimal member is never the target of a projection, so
+B(pi_12) o B(pi_01) o c = B(pi_02) o c and d o d = 0 holds strictly: no
+higher homotopies enter d_h.  Precomposition with c maps the complex built
+on bar cells alone to this one, inducing H^q(G/H_0; M(G/H_0)) isomorphically
+on each column, so by the spectral sequence of the filtration by p the
+total cohomology is the same.  The blocks in degree n are far fewer than
+the nerve's chains wherever one member lies in another, as a map G/H_0 ->
+G/H_1 enters only as the projection.
 
 cochain_complex picks the complex a command reads: CyclicComplex for a
 cyclic group, NormalFamilyComplex for normal members with a strict
@@ -73,6 +91,7 @@ differential, and reads cohomology off them.
 from __future__ import annotations
 
 from itertools import accumulate, product, repeat
+from math import comb
 
 from .coeff import GModule, OrbitModule
 from .errors import BadParametersError, SizeLimitError
@@ -81,6 +100,7 @@ from .intlin import (
     AbHom,
     FgAbGroup,
     IntMatrix,
+    NormalFormMap,
     SubquotientPresentation,
     direct_sum_groups,
     invariant_factors,
@@ -261,13 +281,14 @@ class _StrictChains:
     share: the strict chains H_0 < ... < H_p of the module's objects, where
     their blocks start, and the faces 1..p of d_h.
 
-    A chain from object i carries width[i] ** q blocks M(G/H_0) in degree
-    p + q.  The size cap counts the blocks of one degree, from the counts
-    of chains by length and start alone, before any chain is listed.
+    A chain from object i carries _gens(i, q) blocks M(G/H_0) in degree
+    p + q, the generators of i's resolution in degree q.  The size cap
+    counts the blocks of one degree, from the counts of chains by length
+    and start alone, before any chain is listed.
     """
 
-    def __init__(self, module: OrbitModule, size_cap: int, width: list[int]):
-        self.module, self.size_cap, self._width = module, size_cap, width
+    def __init__(self, module: OrbitModule, size_cap: int):
+        self.module, self.size_cap = module, size_cap
         subs = module.cat.subgroups
         members = [set(h.members) for h in subs]
         # the members strictly above H, each with the projection's module map
@@ -287,8 +308,7 @@ class _StrictChains:
     def layout(self, degree: int) -> list[tuple[int, ...]]:
         """The strict chains of the blocks of one degree, by length, then in
         lexicographic order, within the size cap."""
-        width = self._width
-        total = sum(c * width[i] ** (degree - p)
+        total = sum(c * self._gens(i, degree - p)
                     for p, counts in enumerate(self._counts[:degree + 1])
                     for i, c in enumerate(counts))
         if total > self.size_cap:
@@ -301,8 +321,8 @@ class _StrictChains:
 
     def _offsets(self, degree: int, off: list[int]) -> dict:
         """Each chain of the degree to its first generator, given the blocks'."""
-        chains, width = self.layout(degree), self._width
-        firsts = accumulate((width[c[0]] ** (degree + 1 - len(c)) for c in chains),
+        chains = self.layout(degree)
+        firsts = accumulate((self._gens(c[0], degree + 1 - len(c)) for c in chains),
                             initial=0)
         return dict(zip(chains, map(off.__getitem__, firsts)))
 
@@ -339,7 +359,11 @@ class CyclicComplex(_StrictChains, _CochainComplex):
         self._vertical = [(module.map_matrix(OrbitMorphism(
             h, h, canonical_rep(group, gen, h))) - IntMatrix.identity(v.ngens), nm)
             for h, v, nm in zip(cat.subgroups, module.values, norm)]
-        super().__init__(module, size_cap, [1] * len(cat.subgroups))
+        super().__init__(module, size_cap)
+
+    @staticmethod
+    def _gens(i: int, q: int) -> int:
+        return 1
 
     def _values(self, degree: int) -> list[FgAbGroup]:
         return [self.module.values[c[0]] for c in self.layout(degree)]
@@ -368,22 +392,71 @@ class CyclicComplex(_StrictChains, _CochainComplex):
         return entries
 
 
+def _cyclic_factors(group, sub) -> list[int] | None:
+    """Elements t_1, ..., t_r of the group, each the least of its coset,
+    with G/sub = <t_1 sub> x ... x <t_r sub> (sub normal) and every factor
+    nontrivial; None when G/sub is not abelian.
+
+    Exact for every finite abelian quotient: G/sub is Z^m over the lattice
+    of exponent vectors of G's m generators that land in sub, which the
+    Schreier relations v(x) + e_i - v(x g_i) span (v(x) the exponents of
+    x's coset along a spanning tree); the t_j are the images of the
+    generators of that presentation's normal form."""
+    gens, mul = group.generating_set, group.mul
+    if any(mul(mul(a, b), group.inverse[mul(b, a)]) not in sub
+           for a in gens for b in gens):
+        return None
+    vec, reached, relations = {0: (0,) * len(gens)}, [0], set()
+    for x in reached:
+        for i, g in enumerate(gens):
+            v = vec[x]
+            v = v[:i] + (v[i] + 1,) + v[i + 1:]
+            y = canonical_rep(group, mul(x, g), sub)
+            if y in vec:
+                relations.add(tuple(a - b for a, b in zip(v, vec[y])))
+            else:
+                vec[y] = v
+                reached.append(y)
+    relations.discard((0,) * len(gens))
+    nf = NormalFormMap(FgAbGroup(len(gens), IntMatrix(len(gens), len(relations), {
+        (i, j): v for j, col in enumerate(sorted(relations)) for i, v in enumerate(col) if v})))
+    out = []
+    for j in range(nf.from_nf.cols):      # G/sub is finite: torsion alone
+        t = 0
+        for i, g in enumerate(gens):
+            for _ in range(nf.from_nf[i, j] % group.order):
+                t = mul(t, g)
+        out.append(canonical_rep(group, t, sub))
+    return out
+
+
+def _compositions(q: int, r: int) -> list[tuple[int, ...]]:
+    """The a in N^r with a_1 + ... + a_r = q, in lexicographic order."""
+    if r == 1:
+        return [(q,)]
+    return [(a,) + rest for a in range(q + 1) for rest in _compositions(q - a, r - 1)]
+
+
 class NormalFamilyComplex(_StrictChains, _CochainComplex):
     """Cochain complex of an orbit module whose family has normal members
-    alone, on the bar resolutions of the G/H laid over the strict chains
-    (see the module docstring).
+    alone, on resolutions of the G/H laid over the strict chains (see the
+    module docstring).
 
     In one degree the blocks follow the chains as CyclicComplex's do, and a
-    chain's blocks follow its cells (g_1, ..., g_q) lexicographically, each
-    g_i a non-identity automorphism of G/H_0 in the category's order.  The
-    size cap counts the blocks of one degree.
+    chain's blocks follow the generators of its first object's resolution:
+    at a minimal member with an abelian quotient the e_a, a in N^r, of the
+    product of periodic resolutions, lexicographically; at any other object
+    the cells (g_1, ..., g_q) lexicographically, each g_i a non-identity
+    automorphism of G/H_0 in the category's order.  The size cap counts the
+    blocks of one degree.
     """
 
     def __init__(self, module: OrbitModule, size_cap: int = DEFAULT_SIZE_CAP):
         cat = module.cat
-        if not all(h.is_normal() for h in cat.subgroups):
+        group, subs = cat.group, cat.subgroups
+        if not all(h.is_normal() for h in subs):
             raise BadParametersError(
-                f"a family member is not normal in {cat.group.name}")
+                f"a family member is not normal in {group.name}")
         # the automorphisms of each G/H but the identity, and _comp[h][a][b]
         # the place of autos a then b among them, -1 where that is the identity
         self._autos = [[m for m in out if cat.m_tgt[m] == i
@@ -392,21 +465,43 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
         places = [{m: a for a, m in enumerate(autos)} for autos in self._autos]
         self._comp = [[[place.get(cat.compose_ids(x, y), -1) for y in autos]
                        for x in autos] for place, autos in zip(places, self._autos)]
-        self._bars: dict[tuple[int, int], list] = {}
+        # at a minimal member with an abelian quotient, the powers 1, t, ...
+        # of each cyclic factor <t> by their places (-1 for the identity);
+        # None at the objects that keep the bar resolution
+        members = [set(h.members) for h in subs]
+        self._cyclic = []
+        for h, mine, place in zip(subs, members, places):
+            rows = []
+            if not any(m < mine for m in members):
+                for t in _cyclic_factors(group, h) or ():
+                    row, x = [-1], t
+                    while x:
+                        row.append(place[cat.morphism_id(OrbitMorphism(h, h, x))])
+                        x = canonical_rep(group, group.mul(x, t), h)
+                    rows.append(row)
+            self._cyclic.append(rows or None)
+        self._terms: dict[tuple[int, int], dict] = {}
+        self._verticals: dict[tuple[int, int], list] = {}
+        self._compared_at: dict[tuple[int, int, int], list] = {}
         self._projections: dict[tuple[int, int, int], list] = {}
-        super().__init__(module, size_cap, list(map(len, self._autos)))
+        super().__init__(module, size_cap)
+
+    def _gens(self, i: int, q: int) -> int:
+        """The generators of object i's resolution in degree q."""
+        rows = self._cyclic[i]
+        return comb(q + len(rows) - 1, q) if rows else len(self._autos[i]) ** q
 
     def _values(self, degree: int) -> list[FgAbGroup]:
-        values, width = self.module.values, self._width
+        values = self.module.values
         return [values[c[0]] for c in self.layout(degree)
-                for _ in range(width[c[0]] ** (degree + 1 - len(c)))]
+                for _ in range(self._gens(c[0], degree + 1 - len(c)))]
 
     def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, one target chain at a time: (-1)^p d_v from the same
         chain, face 0 of d_h from the chain without H_0, then faces 1..p;
         d_v and face 0 shift one table each, built once per object or pair."""
         src = self._offsets(degree, src_off)
-        values, width = self.module.values, self._width
+        values = self.module.values
         entries: dict[tuple[int, int], int] = {}
         for chain, roff in self._offsets(degree + 1, dst_off).items():
             p, h = len(chain) - 1, chain[0]
@@ -414,31 +509,35 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
             if q:
                 coff, sign = src[chain], -1 if p % 2 else 1
                 entries.update({(roff + i, coff + j): sign * v
-                                for i, j, v in self._bar(h, q)})
+                                for i, j, v in self._vertical(h, q)})
             if p:
                 coff = src[chain[1:]]
                 entries.update({(roff + i, coff + j): v
                                 for i, j, v in self._projection(h, chain[1], q)})
                 self._inner_faces(entries, chain, roff, src,
-                                  width[h] ** q * values[h].ngens)
+                                  self._gens(h, q) * values[h].ngens)
         return entries
 
-    def _bar(self, h: int, q: int) -> list[tuple[int, int, int]]:
-        """d_v into the q-cells of object h from its (q-1)-cells, as (row,
-        column, value) in generators: the normalized bar differential of G/H
-        on M(G/H).  Face 0 drops g_1 and is twisted by its module map, face
-        0 < i < q puts g_i g_{i+1} in their place (none where that is the
-        identity), face q drops g_q."""
-        got = self._bars.get((h, q))
+    def _boundary(self, h: int, q: int) -> dict[int, dict[tuple[int, int], int]]:
+        """The resolution's d from degree q to q - 1 at object h, as {x: {(t,
+        s): c}}: d e_t holds c x e_s, x an automorphism of G/H by its place
+        (-1 for the identity); some c may be 0.
+
+        Bar: d[g_1|...|g_q] = g_1[g_2|...] + sum (-1)^i [...|g_i g_{i+1}|...]
+        (none where g_i g_{i+1} = 1) + (-1)^q [g_1|...|g_{q-1}], cell t being
+        sum g_i k^(q - i).  Product of periodic resolutions: d e_a = sum over
+        a_j > 0 of (-1)^(a_1 + ... + a_{j-1}) theta_j e_(a - delta_j), theta_j
+        being t_j - 1 for odd a_j and the norm of <t_j> for even a_j."""
+        got = self._terms.get((h, q))
         if got is None:
-            k, n = len(self._autos[h]), self.module.values[h].ngens
-            below = k ** (q - 1)
-            # faces 1..q in cells, cell t being sum g_i k^(q - i): (t, s) to
-            # the coefficient of the identity from cell s
-            ident: dict[tuple[int, int], int] = {}
-            get = ident.get
-            if q > 1:
-                comp = self._comp[h]
+            rows = self._cyclic[h]
+            if rows is None:
+                k, comp = len(self._autos[h]), self._comp[h]
+                below = k ** (q - 1)
+                got = {x: {(x * below + r, r): 1 for r in range(below)}
+                       for x in range(k)}
+                ident = got[-1] = {}
+                get = ident.get
                 for t in range(k * below):
                     for i in range(1, q):
                         w = k ** (q - i - 1)        # the weight of g_{i+1}
@@ -447,47 +546,93 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                         if c >= 0:
                             key = (t, (head * k + c) * w + t % w)
                             ident[key] = get(key, 0) + (-1 if i % 2 else 1)
-            last = -1 if q % 2 else 1
-            for t in range(k * below):
-                key = (t, t // k)
-                ident[key] = get(key, 0) + last
-            # face 0, in generators, then the identity faces on top of it
-            maps, autos = self.module.maps, self._autos[h]
-            acc = {(t * n + i, t % below * n + j): v
-                   for t in range(k * below)
-                   for (i, j), v in maps[autos[t // below]].entries.items()}
+                    key = (t, t // k)
+                    ident[key] = get(key, 0) + (-1 if q % 2 else 1)
+            else:
+                got = {x: {} for row in rows for x in row}
+                place = {a: s for s, a in enumerate(_compositions(q - 1, len(rows)))}
+                for t, a in enumerate(_compositions(q, len(rows))):
+                    sign = 1
+                    for j, (e, row) in enumerate(zip(a, rows)):
+                        if e:
+                            s = place[a[:j] + (e - 1,) + a[j + 1:]]
+                            if e % 2:
+                                got[row[1]][(t, s)], got[-1][(t, s)] = sign, -sign
+                                sign = -sign
+                            else:
+                                for x in row:
+                                    got[x][(t, s)] = sign
+            self._terms[(h, q)] = got
+        return got
+
+    def _vertical(self, h: int, q: int) -> list[tuple[int, int, int]]:
+        """d_v into the degree-q generators of object h from those of degree
+        q - 1, as (row, column, value) in generators of M(G/H): each c x e_s
+        in _boundary as c times x's module map."""
+        got = self._verticals.get((h, q))
+        if got is None:
+            n, maps, autos = self.module.values[h].ngens, self.module.maps, self._autos[h]
+            terms = self._boundary(h, q)
+            acc = {(t * n + e, s * n + e): c
+                   for (t, s), c in terms[-1].items() for e in range(n)}
             get = acc.get
-            for (t, s), c in ident.items():
-                if c:
-                    for e in range(n):
-                        key = (t * n + e, s * n + e)
-                        acc[key] = get(key, 0) + c
-            got = self._bars[(h, q)] = [(i, j, v) for (i, j), v in acc.items() if v]
+            for x, group in terms.items():
+                if x >= 0:
+                    pairs = list(maps[autos[x]].entries.items())
+                    for (t, s), c in group.items():
+                        row, col = t * n, s * n
+                        for (i, j), v in pairs:
+                            key = (row + i, col + j)
+                            acc[key] = get(key, 0) + c * v
+            got = self._verticals[(h, q)] = [(i, j, v) for (i, j), v in acc.items() if v]
+        return got
+
+    def _compared(self, h: int, top: int, q: int) -> list[dict[int, int]]:
+        """B(pi) o c in degree q, pi: G/H -> G/H_top (the identity for top =
+        h): each generator of object h's resolution to {cell of G/H_top's
+        normalized bar resolution: coefficient}.
+
+        c is the comparison map to the bar resolution of G/H, c_0(e) = []
+        and c_q(e) = s(c_{q-1}(d e)), s(x[g_1|...]) = [x|g_1|...] being its
+        contracting homotopy (0 for x = 1), and the identity on the bar
+        resolution.  B(pi) commutes with s, so B(pi) c_q(e) is the sum of c
+        [pi x|B(pi) c_{q-1}(e_s)] over the terms c x e_s of d e (none where
+        pi x = 1)."""
+        key = (h, top, q)
+        got = self._compared_at.get(key)
+        if got is None:
+            got = [{0: 1}]
+            if q:
+                cat = self.module.cat
+                target = cat.subgroups[top]
+                pos = {cat.morphs[m].rep: a for a, m in enumerate(self._autos[top])}
+                image = [pos.get(canonical_rep(cat.group, cat.morphs[m].rep, target), -1)
+                         for m in self._autos[h]]
+                below, w = self._compared(h, top, q - 1), len(pos) ** (q - 1)
+                got = [{} for _ in range(self._gens(h, q))]
+                for x, group in self._boundary(h, q).items():
+                    if x >= 0 and image[x] >= 0:
+                        base = image[x] * w
+                        for (t, s), c in group.items():
+                            acc = got[t]
+                            for cell, v in below[s].items():
+                                acc[base + cell] = acc.get(base + cell, 0) + c * v
+            self._compared_at[key] = got
         return got
 
     def _projection(self, h: int, top: int, q: int) -> list[tuple[int, int, int]]:
-        """Face 0 of d_h into the q-cells of object h from those of object
-        top, as (row, column, value) in generators: each cell to its image
-        under G/H -> G/H_top (none where an image is the identity), times the
-        projection's module map."""
+        """Face 0 of d_h into the degree-q generators of object h from the
+        q-cells of object top, as (row, column, value) in generators: B(pi) o
+        c of each generator, times the projection's module map."""
         key = (h, top, q)
         got = self._projections.get(key)
         if got is None:
-            cat = self.module.cat
-            group, target = cat.group, cat.subgroups[top]
-            pos = {cat.morphs[m].rep: a for a, m in enumerate(self._autos[top])}
-            image = [pos.get(canonical_rep(group, cat.morphs[m].rep, target), -1)
-                     for m in self._autos[h]]
-            k = len(pos)
-            cells = [0]
-            for _ in range(q):
-                cells = [c * k + d if c >= 0 and d >= 0 else -1
-                         for c in cells for d in image]
             n, n_top = self.module.values[h].ngens, self.module.values[top].ngens
             proj = list(self._above[h][top].entries.items())
             got = self._projections[key] = [
-                (t * n + i, c * n_top + j, v)
-                for t, c in enumerate(cells) if c >= 0 for (i, j), v in proj]
+                (t * n + i, c * n_top + j, v * u)
+                for t, cells in enumerate(self._compared(h, top, q))
+                for c, v in cells.items() if v for (i, j), u in proj]
         return got
 
 

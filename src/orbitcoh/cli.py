@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a requested check failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -158,7 +159,11 @@ def load_family(source: str, group: FiniteGroup) -> Family:
 _MODULE_NAME = re.compile(r"^z(\d*)-trivial$")
 
 
-def load_module(source: str, group: FiniteGroup) -> GModule:
+def load_module(source: str, group: FiniteGroup, cap: int) -> GModule:
+    """The module a file or name gives.  A file's carrier of n generators
+    is refused with a size-limit error when n^2, the entry count of the
+    dense Smith form its invariants take, exceeds cap; that is decided
+    before the carrier is built."""
     if os.path.exists(source):
         doc = _load_json(source)
         _check_keys(doc, {"rank", "torsion", "action"}, "module file")
@@ -166,6 +171,9 @@ def load_module(source: str, group: FiniteGroup) -> GModule:
         torsion = _int_lists(doc.get("torsion", []), "torsion")
         if rank < 0 or any(d < 2 for d in torsion):
             raise SchemaError("rank must be >= 0 and torsion entries >= 2")
+        n = rank + len(torsion)
+        if n * n > cap:
+            raise SizeLimitError(n * n, cap)
         try:
             carrier = FgAbGroup.from_invariants(rank, torsion)
         except ValueError as exc:
@@ -249,7 +257,7 @@ def _is_trivial_z(module: GModule) -> bool:
 def cmd_cohomology(args) -> int:
     group = load_group(args.group)
     family = load_family(args.family, group)
-    module = load_module(args.module, group)
+    module = load_module(args.module, group, args.size_cap)
     degrees = parse_degrees(args.degrees, args.size_cap)
     om = fixed_point_functor(module, family)
     cx = cochain_complex(om, args.size_cap)
@@ -286,7 +294,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_oracle(args) -> int:
     group = load_group(args.group)
-    module = load_module(args.module, group)
+    module = load_module(args.module, group, args.size_cap)
     degrees = parse_degrees(args.degrees, args.size_cap)
     bar = BarComplex(module, size_cap=args.size_cap)
     results = [_at(deg, bar.cohomology(deg)) for deg in degrees]
@@ -298,7 +306,7 @@ def cmd_oracle(args) -> int:
 def cmd_structures(args) -> int:
     group = load_group(args.group)
     family = load_family(args.family, group)
-    module = load_module(args.module, group)
+    module = load_module(args.module, group, args.size_cap)
     classes = enumerate_f_structures(module, family, cap=args.size_cap)
     split_index = next(i for i, c in enumerate(classes) if c.split)
     witnesses = []
@@ -328,7 +336,7 @@ def cmd_structures(args) -> int:
 def cmd_derivations(args) -> int:
     group = load_group(args.group)
     family = load_family(args.family, group)
-    module = load_module(args.module, group)
+    module = load_module(args.module, group, args.size_cap)
     quotient = f_derivation_quotient(module, family)
     doc = {"command": "derivations", "group": group.name,
            "family": [list(s.members) for s in family],
@@ -506,9 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads every argv with, built once per process:
+    parsing leaves a parser as it was, and --help reads the width at print
+    time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.size_cap < 1:
         _fail("validation", f"--size-cap must be >= 1, got {args.size_cap}", 2)
     if args.threads < 1:

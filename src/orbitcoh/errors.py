@@ -15,7 +15,11 @@ class CompositionNonzeroError(OrbitcohError):
 
 class SizeLimitError(OrbitcohError):
     def __init__(self, needed, cap):
-        super().__init__(f"enumeration needs {needed} items, cap is {cap}")
+        # a count past the interpreter's int-to-str digit limit is given by
+        # its bit length
+        count = needed if needed.bit_length() < 10_000 \
+            else f"over 2^{needed.bit_length() - 1}"
+        super().__init__(f"enumeration needs {count} items, cap is {cap}")
         self.needed = needed
         self.cap = cap
 

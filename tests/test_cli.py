@@ -263,8 +263,49 @@ def test_the_periodic_route_caps_blocks_where_the_nerve_had_fewer_chains(capsys)
     assert json.loads(err)["error"]["message"] == "enumeration needs 3 items, cap is 2"
 
 
+@pytest.mark.parametrize("command", [["cohomology", "--family", "full"], ["oracle"]])
+@pytest.mark.parametrize("doc, needed", [
+    ({"rank": 100000}, "10000000000"),
+    ({"torsion": [2] * 100000}, "10000000000"),
+    ({"rank": 10 ** 3000}, "over 2^19931"),
+])
+def test_a_module_rank_past_the_cap_exits_3_before_any_smith_form(
+        capsys, tmp_path, command, doc, needed):
+    # n generators take an n x n dense Smith form, so n^2 is held to the cap
+    path = write_json(tmp_path, "big.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command[0], "--group", "c2", *command[1:],
+                             "--module", path, "--degrees", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        f"enumeration needs {needed} items, cap is 200000"
+
+
+def test_a_module_rank_at_the_cap_still_answers(capsys, tmp_path):
+    path = write_json(tmp_path, "m.json", {"rank": 3, "torsion": [2]})
+    code, out, _ = run_cli(capsys, "--size-cap", "16", "oracle", "--group", "c2",
+                           "--module", path, "--degrees", "0")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"degree": 0, "rank": 3, "torsion": [2]}]
+    code, _, err = run_cli(capsys, "--size-cap", "15", "oracle", "--group", "c2",
+                           "--module", path, "--degrees", "0")
+    assert code == 3 and "needs 16 items, cap is 15" in err
+
+
+@pytest.mark.parametrize("family", ["trivial-only", str(
+    Path(__file__).parent / "pinned" / "family_c2xc2xc2_closed.json")])
+def test_a_count_past_the_digit_limit_is_a_size_limit_error(capsys, family):
+    # the nerve and the bar cells both need more than 10^4300 items here
+    code, out, err = run_cli(capsys, "cohomology", "--group", "c2xc2xc2",
+                             "--family", family, "--module", "z-trivial",
+                             "--degrees", "9000")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"].startswith("enumeration needs over 2^")
+
+
 def test_the_bar_cells_fit_a_cap_the_nerve_did_not(capsys):
-    # c2xc2's full family: degree 2 has 13 bar cells against 48 nerve chains
+    # c2xc2's full family: degree 2 has 20 blocks against 48 nerve chains
     code, out, _ = run_cli(capsys, "--size-cap", "40", "cohomology", "--group", "c2xc2",
                            "--family", "full", "--module", "z-trivial", "--degrees", "1")
     assert code == 0
@@ -698,3 +739,31 @@ def test_help_is_byte_identical(capsys, monkeypatch, command):
     code, out, err = run_cli(capsys, *([command] if command else []), "--help")
     assert code == 0 and err == ""
     assert out == HELP[command]
+
+
+def _fresh(argv, columns="80"):
+    """(exit code, stdout, stderr) of a new CLI process."""
+    import os
+    import subprocess
+    env = dict(os.environ, COLUMNS=columns,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "orbitcoh.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    bad = ["cohomology", "--group", "c2"]
+    good = ["cohomology", "--group", "c4", "--family", "full",
+            "--module", "z-trivial", "--degrees", "0..1"]
+    other = ["oracle", "--group", "c2", "--module", "z2-trivial", "--degrees", "0..2"]
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (bad, good, good, other):
+        assert run_cli(capsys, *argv) == _fresh(argv)
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["cohomology", "--help"]):
+            assert run_cli(capsys, *argv) == _fresh(argv, columns)
+    assert built == [1]

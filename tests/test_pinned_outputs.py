@@ -12,7 +12,10 @@ and a module file with mixed torsion), so they pin preimage_generators'
 results through every later normal form.  The family-close files pin
 closure under conjugation, which conjugates by the group's generators, and
 the S4 table file goes through table validation, which checks associativity
-on those generators.
+on those generators.  The c2xc2xc2, c4xc2 and q8 cohomology files come from
+normal-member families, so they pin NormalFamilyComplex in degrees 0..3:
+the first two on the product of periodic resolutions at their trivial
+member, q8's on the bar resolution, as its quotient by 1 is not abelian.
 """
 
 from pathlib import Path
@@ -54,6 +57,16 @@ CASES = [
      ["cohomology", "--group", str(PINNED / "group_s4_table.json"),
       "--family", "cyclic", "--module", "z-trivial", "--degrees", "0..2",
       "--check"]),
+    ("cohomology_c2xc2xc2_closed_z.json",
+     ["cohomology", "--group", "c2xc2xc2",
+      "--family", str(PINNED / "family_c2xc2xc2_closed.json"),
+      "--module", "z-trivial", "--degrees", "0..3", "--check"]),
+    ("cohomology_c4xc2_cyclic_z.json",
+     ["cohomology", "--group", "c4xc2", "--family", "cyclic",
+      "--module", "z-trivial", "--degrees", "0..3", "--check"]),
+    ("cohomology_q8_full_z.json",
+     ["cohomology", "--group", "q8", "--family", "full",
+      "--module", "z-trivial", "--degrees", "0..3", "--check"]),
 ]
 for _group in ("a4", "d4", "q8", "dic3"):
     for _suffix, _flags in (("conj", ["--conjugation"]),

@@ -72,10 +72,19 @@ total cohomology is the same.  The blocks in degree n are far fewer than
 the nerve's chains wherever one member lies in another, as a map G/H_0 ->
 G/H_1 enters only as the projection.
 
+Its tables (the resolution's d, d_v, B(pi) o c and face 0 of d_h) are keyed
+by what each reads, not by object, so objects and pairs that read the same
+share one: d by the object's resolution, the automorphism table in place
+order or the cyclic rows; d_v by that and the module maps of the
+automorphisms; B(pi) o c by the resolution and the image of H_0's
+automorphisms in H_1's; face 0 by that and the projection's module map.
+
 cochain_complex picks the complex a command reads: CyclicComplex for a
 cyclic group, NormalFamilyComplex for normal members with a strict
-inclusion among them, the nerve otherwise (on an antichain of normal
-members the bar cells are the nerve's chains).  The two strict-chain
+inclusion among them or with abelian quotients alone, the nerve otherwise.
+On an antichain of normal members the bar cells are the nerve's chains, so
+NormalFamilyComplex gains there only where every member is minimal with an
+abelian quotient and takes the product resolution.  The two strict-chain
 complexes share _StrictChains: the chains, their counts by length and start,
 the size cap, which counts the blocks of one degree from those counts before
 any chain is listed, and the faces 1..p.
@@ -392,6 +401,11 @@ class CyclicComplex(_StrictChains, _CochainComplex):
         return entries
 
 
+def _matrix_key(mat: IntMatrix) -> tuple:
+    """A matrix as a key: its shape, then its entries in their order."""
+    return mat.rows, mat.cols, tuple(mat.entries.items())
+
+
 def _cyclic_factors(group, sub) -> list[int] | None:
     """Elements t_1, ..., t_r of the group, each the least of its coset,
     with G/sub = <t_1 sub> x ... x <t_r sub> (sub normal) and every factor
@@ -480,11 +494,24 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                         x = canonical_rep(group, group.mul(x, t), h)
                     rows.append(row)
             self._cyclic.append(rows or None)
-        self._terms: dict[tuple[int, int], dict] = {}
-        self._verticals: dict[tuple[int, int], list] = {}
-        self._compared_at: dict[tuple[int, int, int], list] = {}
-        self._projections: dict[tuple[int, int, int], list] = {}
+        # the ids of what each object's tables read (module docstring): its
+        # resolution, and that with its automorphisms' module maps
+        self._ids: dict[tuple, int] = {}
+        self._resolution = [self._id((rows is None, tuple(map(tuple, rows or comp))))
+                            for rows, comp in zip(self._cyclic, self._comp)]
+        self._twist = [self._id((res, v.ngens, tuple(_matrix_key(module.maps[m])
+                                                     for m in autos)))
+                       for res, v, autos in zip(self._resolution, module.values, self._autos)]
+        self._pairs: dict[tuple[int, int], tuple] = {}
+        self._terms: dict[tuple, dict] = {}
+        self._verticals: dict[tuple, list] = {}
+        self._compared_at: dict[tuple, list] = {}
+        self._projections: dict[tuple, list] = {}
         super().__init__(module, size_cap)
+
+    def _id(self, read: tuple) -> int:
+        """A small key for what a table reads, the same for equal reads."""
+        return self._ids.setdefault(read, len(self._ids))
 
     def _gens(self, i: int, q: int) -> int:
         """The generators of object i's resolution in degree q."""
@@ -499,7 +526,7 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
     def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, one target chain at a time: (-1)^p d_v from the same
         chain, face 0 of d_h from the chain without H_0, then faces 1..p;
-        d_v and face 0 shift one table each, built once per object or pair."""
+        d_v and face 0 shift one table each, built once per distinct key."""
         src = self._offsets(degree, src_off)
         values = self.module.values
         entries: dict[tuple[int, int], int] = {}
@@ -528,7 +555,8 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
         sum g_i k^(q - i).  Product of periodic resolutions: d e_a = sum over
         a_j > 0 of (-1)^(a_1 + ... + a_{j-1}) theta_j e_(a - delta_j), theta_j
         being t_j - 1 for odd a_j and the norm of <t_j> for even a_j."""
-        got = self._terms.get((h, q))
+        at = (self._resolution[h], q)
+        got = self._terms.get(at)
         if got is None:
             rows = self._cyclic[h]
             if rows is None:
@@ -562,14 +590,15 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                             else:
                                 for x in row:
                                     got[x][(t, s)] = sign
-            self._terms[(h, q)] = got
+            self._terms[at] = got
         return got
 
     def _vertical(self, h: int, q: int) -> list[tuple[int, int, int]]:
         """d_v into the degree-q generators of object h from those of degree
         q - 1, as (row, column, value) in generators of M(G/H): each c x e_s
         in _boundary as c times x's module map."""
-        got = self._verticals.get((h, q))
+        at = (self._twist[h], q)
+        got = self._verticals.get(at)
         if got is None:
             n, maps, autos = self.module.values[h].ngens, self.module.maps, self._autos[h]
             terms = self._boundary(h, q)
@@ -584,7 +613,25 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                         for (i, j), v in pairs:
                             key = (row + i, col + j)
                             acc[key] = get(key, 0) + c * v
-            got = self._verticals[(h, q)] = [(i, j, v) for (i, j), v in acc.items() if v]
+            got = self._verticals[at] = [(i, j, v) for (i, j), v in acc.items() if v]
+        return got
+
+    def _pair(self, h: int, top: int) -> tuple:
+        """For pi: G/H -> G/H_top, once per pair: G/H_top's automorphisms
+        but the identity, counted; the place among them of the image of each
+        of G/H's (-1 for the identity); the id of that and h's resolution
+        (B(pi) o c reads it); and the id of that and pi's module map (face 0
+        reads it; None for top = h)."""
+        got = self._pairs.get((h, top))
+        if got is None:
+            cat = self.module.cat
+            least = cat.subgroups[top].coset_table
+            pos = {cat.morphs[m].rep: a for a, m in enumerate(self._autos[top])}
+            image = tuple(pos.get(least[cat.morphs[m].rep], -1) for m in self._autos[h])
+            compared = self._id((self._resolution[h], len(pos), image))
+            proj = self._above[h].get(top)
+            got = self._pairs[(h, top)] = (len(pos), image, compared, proj and self._id(
+                (compared, _matrix_key(proj))))
         return got
 
     def _compared(self, h: int, top: int, q: int) -> list[dict[int, int]]:
@@ -598,17 +645,12 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
         resolution.  B(pi) commutes with s, so B(pi) c_q(e) is the sum of c
         [pi x|B(pi) c_{q-1}(e_s)] over the terms c x e_s of d e (none where
         pi x = 1)."""
-        key = (h, top, q)
-        got = self._compared_at.get(key)
+        count, image, compared, _ = self._pair(h, top)
+        got = self._compared_at.get((compared, q))
         if got is None:
             got = [{0: 1}]
             if q:
-                cat = self.module.cat
-                target = cat.subgroups[top]
-                pos = {cat.morphs[m].rep: a for a, m in enumerate(self._autos[top])}
-                image = [pos.get(canonical_rep(cat.group, cat.morphs[m].rep, target), -1)
-                         for m in self._autos[h]]
-                below, w = self._compared(h, top, q - 1), len(pos) ** (q - 1)
+                below, w = self._compared(h, top, q - 1), count ** (q - 1)
                 got = [{} for _ in range(self._gens(h, q))]
                 for x, group in self._boundary(h, q).items():
                     if x >= 0 and image[x] >= 0:
@@ -617,19 +659,19 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                             acc = got[t]
                             for cell, v in below[s].items():
                                 acc[base + cell] = acc.get(base + cell, 0) + c * v
-            self._compared_at[key] = got
+            self._compared_at[(compared, q)] = got
         return got
 
     def _projection(self, h: int, top: int, q: int) -> list[tuple[int, int, int]]:
         """Face 0 of d_h into the degree-q generators of object h from the
         q-cells of object top, as (row, column, value) in generators: B(pi) o
         c of each generator, times the projection's module map."""
-        key = (h, top, q)
-        got = self._projections.get(key)
+        at = (self._pair(h, top)[3], q)
+        got = self._projections.get(at)
         if got is None:
             n, n_top = self.module.values[h].ngens, self.module.values[top].ngens
             proj = list(self._above[h][top].entries.items())
-            got = self._projections[key] = [
+            got = self._projections[at] = [
                 (t * n + i, c * n_top + j, v * u)
                 for t, cells in enumerate(self._compared(h, top, q))
                 for c, v in cells.items() if v for (i, j), u in proj]
@@ -644,8 +686,9 @@ def cochain_complex(module: OrbitModule,
     if _cyclic_generator(cat.group) is not None:
         return CyclicComplex(module, size_cap)
     members = [set(h.members) for h in cat.subgroups]
-    if any(a < b for a in members for b in members) \
-            and all(h.is_normal() for h in cat.subgroups):
+    if all(h.is_normal() for h in cat.subgroups) and (
+            any(a < b for a in members for b in members)
+            or all(_cyclic_factors(cat.group, h) is not None for h in cat.subgroups)):
         return NormalFamilyComplex(module, size_cap)
     return BredonComplex(module.family, module, size_cap)
 

@@ -7,7 +7,11 @@ only for the generators s, O(|G| * #generators) products.  That is still
 exact: with A(0) the identity and every A(x) respecting the relations,
 induction over words in the generators gives A(xy) = A(x)A(y) for all x, y.
 Orbit modules are contravariant functors from the orbit category to abelian
-groups, checked against the functor laws at construction time.
+groups, checked against the functor laws at construction time, and by the
+same argument on generators only: with every map well defined and F(id) = 1,
+F(i;s) = F(i)F(s) for every morphism i and every generating morphism s
+(orbitcat) gives F(i;w) = F(i)F(w) for every word w in them, by induction on
+its length, and every morphism is such a word.
 """
 
 from __future__ import annotations
@@ -174,6 +178,10 @@ class OrbitModule:
         return self.maps[self.cat.morphism_id(m)]
 
     def validate(self):
+        """Shapes, well-definedness and identities on every map, then
+        F(i;s) = F(i)F(s) for every morphism i and every generating morphism
+        s leaving i's target: exact, by induction on words in the generating
+        morphisms (module docstring)."""
         cat, values, maps = self.cat, self.values, self.maps
         if len(values) != len(cat.subgroups) or len(maps) != len(cat.morphs):
             raise FunctorialityError(
@@ -187,17 +195,18 @@ class OrbitModule:
             if m.is_identity() and not hom.equal_hom(AbHom.identity(values[s])):
                 raise FunctorialityError(
                     f"identity at {m.source.members} is not identity")
-        # contravariance: value(i then j) = value(i) o value(j), for all j
-        # leaving i's target in one product
+        # contravariance: value(i then j) = value(i) o value(j), for every
+        # generating j leaving i's target, in one product
+        gens = cat.generating_morphisms
         after = [IntMatrix.hstack_all(v.ngens, [maps[j] for j in out])
-                 for v, out in zip(values, cat.out)]
+                 for v, out in zip(values, gens)]
         for i, (mat, s, t) in enumerate(zip(maps, cat.m_src, cat.m_tgt)):
-            comp = [cat.compose_ids(i, j) for j in cat.out[t]]
+            comp = [cat.compose_ids(i, j) for j in gens[t]]
             lhs = mat @ after[t]
             rhs = IntMatrix.hstack_all(mat.rows, [maps[k] for k in comp])
             if lhs == rhs or lattice_contains(values[s].relations, lhs - rhs):
                 continue
-            for j, k in zip(cat.out[t], comp):
+            for j, k in zip(gens[t], comp):
                 if not lattice_contains(values[s].relations,
                                         mat @ maps[j] - maps[k]):
                     raise FunctorialityError(
@@ -209,26 +218,41 @@ def fixed_point_functor(module: GModule, family: Family) -> OrbitModule:
     """H |-> M^H with the morphism x K acting by m |-> x.m, on the skeleton.
 
     Values are stored in canonical normal form; the induced matrices are
-    transported through the normalization.  L_s T = act(rep) L_t is solved
-    for all morphisms out of s on one reduction of [L_s | relations].
+    transported through the normalization.  M^H and its normal form depend
+    only on how H's generators act, so members whose generators act alike
+    share them.  L_s T = act(rep) L_t is solved for all morphisms out of s
+    on one reduction of [L_s | relations], once per distinct target and
+    action of rep, which is all T reads.
     """
     if family.parent is not module.group:
         raise BadParametersError("family belongs to a different group")
     cat = OrbitCategory(family)
     relations = module.carrier.relations
-    pres, gens = zip(*(invariants(module, s) for s in cat.subgroups))
-    nf = [NormalFormMap(p) for p in pres]
+    by_action, solved = {}, []
+    for s in cat.subgroups:
+        key = tuple(tuple(module.act(h).entries.items()) for h in s.generators())
+        if key not in by_action:
+            pres, inc = invariants(module, s)
+            by_action[key] = inc, NormalFormMap(pres)
+        solved.append(by_action[key])
+    gens, nf = zip(*solved)
     maps = [None] * len(cat.morphs)
     for s, ids in groupby(range(len(cat.morphs)), cat.m_src.__getitem__):
-        ids = list(ids)
-        rhs = [module.act(cat.morphs[k].rep) @ gens[cat.m_tgt[k]] for k in ids]
+        alike = {}
+        for k in ids:
+            key = (cat.m_tgt[k], tuple(module.act(cat.morphs[k].rep).entries.items()))
+            alike.setdefault(key, []).append(k)
+        rhs = [module.act(cat.morphs[ks[0]].rep) @ gens[cat.m_tgt[ks[0]]]
+               for ks in alike.values()]
         sol = solve_exact(gens[s].hstack(relations),
                           IntMatrix.hstack_all(module.carrier.ngens, rhs))
         if sol is None:
             raise FunctorialityError("image of a fixed vector failed to be fixed")
-        for k, x in zip(ids, sol.split_cols([r.cols for r in rhs])):
-            maps[k] = (nf[s].to_nf @ x.take_rows(gens[s].cols)
-                       @ nf[cat.m_tgt[k]].from_nf)
+        for ks, x in zip(alike.values(), sol.split_cols([r.cols for r in rhs])):
+            mat = (nf[s].to_nf @ x.take_rows(gens[s].cols)
+                   @ nf[cat.m_tgt[ks[0]]].from_nf)
+            for k in ks:
+                maps[k] = mat
     return OrbitModule(cat, [n.canonical for n in nf], maps, source_gmodule=module)
 
 

@@ -6,6 +6,8 @@ makes set equality and family deduplication O(1) dictionary work.  A lattice
 per subgroup K and left coset xK: S5's 156 subgroups take about 0.1 s.
 Validating a table checks associativity on generators only (Light's test),
 in O(n^2 * #generators) steps, and family_close conjugates by them alone.
+A subgroup computes its generators, its normality and its coset table
+(x |-> the least element of xH) once, on first use.
 """
 
 from __future__ import annotations
@@ -272,11 +274,19 @@ class Subgroup:
     def is_normal(self) -> bool:
         """Whether every conjugate is the subgroup itself, tested on a
         generating set of the parent (which fixes it then fixes all)."""
+        return self._normal
+
+    @cached_property
+    def _normal(self) -> bool:
         return all(self.conjugate_by(x).members == self.members
                    for x in self.parent.generating_set)
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set, greedily chosen in index order."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
         gens: list[int] = []
         cur = {0}
         for a in self.members:
@@ -286,6 +296,17 @@ class Subgroup:
                 if len(cur) == len(self.members):
                     break
         return tuple(gens)
+
+    @cached_property
+    def coset_table(self) -> tuple[int, ...]:
+        """x |-> the least element of the left coset xH, for every x in G:
+        in ascending order, the first x of a coset not yet met is its least."""
+        t, least = self.parent.table, [-1] * self.parent.order
+        for x in range(self.parent.order):
+            if least[x] < 0:
+                for h in self.members:
+                    least[t[x][h]] = x
+        return tuple(least)
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as its own Cayley-table group, plus the embedding."""
@@ -321,14 +342,7 @@ class Subgroup:
 
     def left_coset_representatives(self) -> list[int]:
         """Minimal representative of each left coset xH, ascending."""
-        g = self.parent
-        seen = set()
-        reps = []
-        for x in range(g.order):
-            if x not in seen:
-                reps.append(x)
-                seen.update(g.table[x][h] for h in self.members)
-        return reps
+        return [x for x, least in enumerate(self.coset_table) if x == least]
 
     def __repr__(self):
         return f"Subgroup{self.members}"

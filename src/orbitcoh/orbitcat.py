@@ -2,7 +2,9 @@
 
 Objects are coset spaces G/H for H in the family; a morphism G/H -> G/K is a
 coset xK with x^-1 H x contained in K, stored by the minimal element of the
-coset so that equal morphisms have equal representatives.  Composable
+coset so that equal morphisms have equal representatives, read off K's
+coset table (x |-> the least element of xK, built once per subgroup); and
+x^-1 H x lies in K when x^-1 h x does for H's generators h.  Composable
 sequences of morphisms ("chains") index the standard free resolution, so
 their enumeration order is pinned down exactly: by starting subgroup, then
 by each morphism's (target, coset representative) pair.
@@ -26,13 +28,20 @@ L + 1, face k < L is child[face_k(p)] + pos[m] (m's place among the
 morphisms leaving its source); face L, composing p's last morphism a with m,
 is child[parent(p)] + pos[a.m], or -1 when a.m is an identity left out of
 chains; face L + 1 is p; and -1 stays -1.
+
+The generating morphisms of a category are, per object y, generators of
+the group Aut(y), and for every other object x one morphism from each orbit
+of Hom(x, y) under Aut(y) (acting by composing after).  Every morphism is a
+word in them: one into another object is an orbit's representative then an
+automorphism, and an automorphism is a word in Aut(y)'s generators.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, repeat
+from functools import cached_property
+from itertools import accumulate, chain, cycle, groupby, repeat
 from math import inf
 
 from .errors import BadParametersError, NotComposableError, SizeLimitError
@@ -52,7 +61,8 @@ class OrbitMorphism:
 
 
 def canonical_rep(group: FiniteGroup, x: int, target: Subgroup) -> int:
-    return min(group.table[x][k] for k in target.members)
+    """The least element of the coset x target, read off its coset table."""
+    return target.coset_table[x]
 
 
 def morphisms(source: Subgroup, target: Subgroup) -> list[OrbitMorphism]:
@@ -65,12 +75,10 @@ def _morphisms(source: Subgroup, target: Subgroup, coset_reps) -> list[OrbitMorp
     g = source.parent
     if target.parent is not g:
         raise NotComposableError("subgroups of different parent groups")
-    out = []
-    tgt = set(target.members)
-    for x in coset_reps:
-        if all(g.conj(x, h) in tgt for h in source.members):
-            out.append(OrbitMorphism(source, target, x))
-    return out
+    # x^-1 h x lies in K exactly when h fixes the coset xK, x least in it
+    least, gens, t = target.coset_table, source.generators(), g.table
+    return [OrbitMorphism(source, target, x) for x in coset_reps
+            if all(least[t[h][x]] == x for h in gens)]
 
 
 def compose(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
@@ -188,8 +196,35 @@ class OrbitCategory:
             t = self.m_tgt[j]
             x = self.group.mul(self.morphs[i].rep, self.morphs[j].rep)
             got = self._comp[key] = self._morph_id[
-                (self.m_src[i], t, canonical_rep(self.group, x, self.subgroups[t]))]
+                (self.m_src[i], t, self.subgroups[t].coset_table[x])]
         return got
+
+    @cached_property
+    def generating_morphisms(self) -> list[list[int]]:
+        """Per object, the ids of the generating morphisms leaving it (see
+        the module docstring), in id order; the identity is never one."""
+        blocks = {key: list(ids) for key, ids in groupby(
+            range(len(self.morphs)), lambda k: (self.m_src[k], self.m_tgt[k]))}
+        gens = [[] for _ in self.subgroups]
+        for (s, t), ids in blocks.items():
+            autos = blocks[(t, t)]          # the identity first, rep 0
+            chosen, reached = [], {autos[0]} if s == t else set()
+            for m in ids:
+                if m in reached:
+                    continue
+                chosen.append(m)
+                if s != t:                  # m's orbit under Aut(t)
+                    reached.update(self.compose_ids(m, a) for a in autos)
+                    continue
+                # the subgroup of Aut(t) that chosen generates: what is
+                # reached, closed under composing after chosen
+                grown = list(reached)
+                for a in grown:
+                    new = {self.compose_ids(a, g) for g in chosen} - reached
+                    reached |= new
+                    grown += new
+            gens[s] += chosen
+        return gens
 
     def chain_count(self, length: int) -> int:
         """The number of chains of the given length.

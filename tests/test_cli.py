@@ -215,12 +215,16 @@ def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
                      "CyclicComplex": 1}
 
 
-# (group, family, the one complex cohomology builds): bar cells over the
-# strict chains of normal members, the periodic resolution of a cyclic
-# group, and the nerve for an antichain or a member that is not normal
+# (group, family, the one complex cohomology builds): resolutions over the
+# strict chains of normal members, with a strict inclusion or with abelian
+# quotients alone; the periodic resolution of a cyclic group; and the nerve
+# for an antichain with a quotient that is not abelian, or a member that is
+# not normal
 ROUTES = [
     ("c2xc2xc2", "closed", "NormalFamilyComplex"),
     ("q8", "cyclic", "NormalFamilyComplex"),
+    ("c2xc2xc2", "trivial-only", "NormalFamilyComplex"),
+    ("c4xc2", "trivial-only", "NormalFamilyComplex"),
     ("c6", "trivial-only", "CyclicComplex"),
     ("s3", "trivial-only", "BredonComplex"),
     ("d4", "cyclic", "BredonComplex"),
@@ -293,11 +297,16 @@ def test_a_module_rank_at_the_cap_still_answers(capsys, tmp_path):
     assert code == 3 and "needs 16 items, cap is 15" in err
 
 
-@pytest.mark.parametrize("family", ["trivial-only", str(
-    Path(__file__).parent / "pinned" / "family_c2xc2xc2_closed.json")])
-def test_a_count_past_the_digit_limit_is_a_size_limit_error(capsys, family):
-    # the nerve and the bar cells both need more than 10^4300 items here
-    code, out, err = run_cli(capsys, "cohomology", "--group", "c2xc2xc2",
+CLOSED_C2XC2XC2 = str(Path(__file__).parent / "pinned" / "family_c2xc2xc2_closed.json")
+
+
+@pytest.mark.parametrize("group, family", [("s3", "trivial-only"),
+                                           ("c2xc2xc2", CLOSED_C2XC2XC2)],
+                         ids=["trivial-only", CLOSED_C2XC2XC2])
+def test_a_count_past_the_digit_limit_is_a_size_limit_error(capsys, group, family):
+    # the nerve (s3's trivial family: its quotient is not abelian) and the
+    # bar cells both need more than 10^4300 items here
+    code, out, err = run_cli(capsys, "cohomology", "--group", group,
                              "--family", family, "--module", "z-trivial",
                              "--degrees", "9000")
     assert code == 3 and out == ""

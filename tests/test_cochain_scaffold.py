@@ -7,6 +7,7 @@ on every later call.
 """
 
 import pytest
+from normal_family_reference import same_differentials
 
 from orbitcoh.bredon import BarComplex, BredonComplex, CyclicComplex, NormalFamilyComplex
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
@@ -75,3 +76,9 @@ def test_each_degree_is_assembled_once(make, monkeypatch):
             cx.differential(n)
             cx.cochain_group(n)
     assert calls == {"_values": [0, 1, 2, 3, 4], "_entries": [0, 1, 2, 3]}
+
+
+def test_shared_tables_give_the_per_object_differentials():
+    # NormalFamilyComplex shares a table among objects that read the same;
+    # the per-object reference builds each object's own
+    assert same_differentials(normal_q8_cyclic_sign(), 2)

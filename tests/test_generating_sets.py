@@ -7,22 +7,38 @@ and b are closed under products, and a set of subgroups closed under
 conjugation by generators is closed under conjugation by every product of
 them.  The all-triples check and the all-elements closure are kept here as
 the references they are compared with.
+
+OrbitModule.validate checks the functor law F(i;s) = F(i)F(s) for the
+generating morphisms s of the orbit category alone (orbitcat): generators
+of each Aut(y) and one morphism per Aut(y)-orbit of each Hom(x, y), x != y.
+Here those generate every morphism, in reduced and unreduced categories,
+and validate judges corrupted functors as the all-pairs check
+(functor_reference.all_pairs_validate) does.
 """
 
-import pytest
+from functools import cache
 
-from orbitcoh.errors import BadParametersError
+import pytest
+from functor_reference import all_pairs_validate, unreduced_fixed_point_functor
+
+from orbitcoh.coeff import GModule, OrbitModule, fixed_point_functor, sign_modules
+from orbitcoh.errors import BadParametersError, FunctorialityError
 from orbitcoh.groups import (
     Family,
     FiniteGroup,
     builtin_group,
     builtin_group_names,
     closed_families,
+    cyclic_family,
     family_close,
+    full_family,
+    trivial_family,
 )
+from orbitcoh.intlin import AbHom, FgAbGroup, IntMatrix
+from orbitcoh.orbitcat import OrbitCategory
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 SMALL = [n for n in builtin_group_names() if builtin_group(n).order <= 12]
 
@@ -165,3 +181,72 @@ def test_closed_families_are_those_of_the_reference_in_order(name):
     group = builtin_group(name)
     assert ([f.member_sets() for f in closed_families(group)]
             == [f.member_sets() for f in reference_closed_families(group)])
+
+
+FAMILIES = {"trivial": trivial_family, "cyclic": cyclic_family, "full": full_family}
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", SMALL)
+def test_the_generating_morphisms_generate_every_morphism(name, family, reduced):
+    # closing the identities under composing after a generating morphism
+    # reaches every morphism of the category
+    cat = OrbitCategory(FAMILIES[family](builtin_group(name)), reduced)
+    gens = cat.generating_morphisms
+    assert not any(cat.morphs[m].is_identity() for out in gens for m in out)
+    reached = [m for m, f in enumerate(cat.morphs) if f.is_identity()]
+    seen = set(reached)
+    for a in reached:
+        for c in (cat.compose_ids(a, s) for s in gens[cat.m_tgt[a]]):
+            if c not in seen:
+                seen.add(c)
+                reached.append(c)
+    assert seen == set(range(len(cat.morphs)))
+
+
+def _zmod(n):
+    return FgAbGroup(1, IntMatrix.from_rows([[n]]))
+
+
+@cache
+def _functor(name, label, family, reduced):
+    group = builtin_group(name)
+    modules = {"Z": GModule.trivial(group, FgAbGroup.free(1)),
+               "Z/2": GModule.trivial(group, _zmod(2)),
+               "Z/4": GModule.trivial(group, _zmod(4))}
+    modules.update((f"sign{i}", m) for i, m in enumerate(sign_modules(group)))
+    build = fixed_point_functor if reduced else unreduced_fixed_point_functor
+    return build(modules[label], FAMILIES[family](group))
+
+
+def _judgement(check):
+    try:
+        check()
+    except FunctorialityError:
+        return False
+    return True
+
+
+@st.composite
+def corrupted_functors(draw):
+    """A fixed point functor over Z, Z/2, Z/4 or a sign module with one
+    entry of one map changed, the map still well defined."""
+    group = builtin_group(draw(st.sampled_from(SMALL)))
+    labels = ["Z", "Z/2", "Z/4"] + [f"sign{i}" for i in range(len(sign_modules(group)))]
+    om = _functor(group.name, draw(st.sampled_from(labels)),
+                  draw(st.sampled_from(sorted(FAMILIES))), draw(st.booleans()))
+    maps = list(om.maps)
+    k = draw(st.sampled_from([k for k, m in enumerate(maps) if m.rows and m.cols]))
+    i, j = draw(st.integers(0, maps[k].rows - 1)), draw(st.integers(0, maps[k].cols - 1))
+    maps[k] = maps[k] + IntMatrix(maps[k].rows, maps[k].cols,
+                                  {(i, j): draw(st.sampled_from([-2, -1, 1, 2, 4]))})
+    cat = om.cat
+    assume(AbHom(om.values[cat.m_tgt[k]], om.values[cat.m_src[k]], maps[k]).well_defined())
+    return OrbitModule(cat, om.values, maps, validate=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(corrupted_functors())
+def test_validate_judges_one_changed_map_as_all_pairs_does(om):
+    assert _judgement(om.validate) == _judgement(lambda: all_pairs_validate(om))

@@ -15,11 +15,16 @@ work in the group ring: d.d = 0 and d_B c = c d_P for the comparison map
 c to the bar resolution, to degree 4, and the decomposition is checked to
 be exact on every abelian quotient of every catalog group and of a few
 larger abelian groups.
+
+The complex keys its tables by what each reads, so objects that read the
+same share one; on every case here its differentials equal those of
+PerObjectComplex, whose tables are each object's own, entry for entry.
 """
 
 from itertools import combinations
 
 import pytest
+from normal_family_reference import same_differentials
 
 from orbitcoh.bredon import (
     BarComplex,
@@ -36,6 +41,7 @@ from orbitcoh.groups import (
     builtin_group_names,
     closed_families,
     cyclic_family,
+    full_family,
     trivial_family,
 )
 from orbitcoh.intlin import FgAbGroup, IntMatrix
@@ -64,6 +70,7 @@ def _agree(family, top):
             assert route.cohomology(n) == nerve.cohomology(n), \
                 (label, family.member_sets(), n)
             assert route._dd_vanishes(n), (label, family.member_sets(), n)
+        assert same_differentials(route, top), (label, family.member_sets())
 
 
 @pytest.mark.parametrize("name", ["c2", "c4", "c2xc2", "q8"])
@@ -105,6 +112,29 @@ def test_route_equals_the_bar_complex_on_the_trivial_family(name):
         bar = BarComplex(module)
         for n in range(4 if group.order < 8 else 3):
             assert route.cohomology(n) == bar.cohomology(n), (label, n)
+        assert same_differentials(route, 3 if group.order < 8 else 2), label
+
+
+def test_each_table_is_built_once_per_key_not_per_object(monkeypatch):
+    # c2xc2xc2's full family: the seven objects G/H with |G/H| = 2 (and the
+    # seven with |G/H| = 4) have one automorphism table in place order and
+    # the same module maps under trivial Z, so they share one d_v a degree
+    group = builtin_group("c2xc2xc2")
+    module = GModule.trivial(group, FgAbGroup.free(1))
+    route = NormalFamilyComplex(fixed_point_functor(module, full_family(group)))
+    read = set()
+    vertical = NormalFamilyComplex._vertical
+
+    def counted(self, h, q):
+        read.add((h, q))
+        return vertical(self, h, q)
+
+    monkeypatch.setattr(NormalFamilyComplex, "_vertical", counted)
+    for n in range(4):
+        route.cohomology(n)
+    keys = {(route._twist[h], q) for h, q in read}
+    assert len(route._verticals) == len(keys)
+    assert len(keys) == len({(len(route._autos[h]), q) for h, q in read}) < len(read)
 
 
 def test_a_member_that_is_not_normal_is_refused():

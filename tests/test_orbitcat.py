@@ -170,6 +170,24 @@ def test_canonical_representatives_are_coset_minima():
                 assert m.rep == min(coset)
 
 
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_coset_tables_and_the_generator_test_match_their_references(name):
+    # the coset table against the least element of each coset, and
+    # morphisms(), which conjugates the source's generators alone, against
+    # the test on every member of the source
+    g = builtin_group(name)
+    subs = g.all_subgroups()
+    for k in subs:
+        assert k.coset_table == tuple(min(g.mul(x, h) for h in k.members)
+                                      for x in range(g.order))
+    for h in subs:
+        for k in subs:
+            inside = set(k.members)
+            assert [m.rep for m in morphisms(h, k)] == [
+                x for x in k.left_coset_representatives()
+                if all(g.conj(x, a) in inside for a in h.members)]
+
+
 def test_reduced_category_is_skeletal_and_normalized():
     fam = full_family(builtin_group("s3"))
     cat = OrbitCategory(fam)

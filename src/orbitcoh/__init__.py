@@ -10,7 +10,6 @@ layer exercises the vanishing statements for unit coefficients.
 from .bredon import (
     BarComplex,
     BredonComplex,
-    CyclicComplex,
     NormalFamilyComplex,
     cochain_complex,
     restriction_kernel_intersection,
@@ -63,7 +62,7 @@ from .orbitcat import OrbitMorphism, compose, morphisms
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup", "CyclicComplex",
+    "AbHom", "BarComplex", "BredonComplex", "CharacterGroup",
     "FDerivation", "FStructureClass", "FStructureWitness", "Family", "FgAbGroup",
     "FiniteGroup", "GModule", "IntMatrix", "NormalFamilyComplex",
     "OrbitModule", "OrbitMorphism", "Subgroup", "builtin_group",

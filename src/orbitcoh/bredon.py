@@ -26,28 +26,27 @@ oracle the orbit-category route is checked against (the two coincide for the
 family consisting of the trivial subgroup alone, and that agreement is a
 test, not a shortcut).
 
-For a cyclic group G = <g>, CyclicComplex is a third, far smaller complex.
-G is abelian, so the orbit category is the Grothendieck construction of
-H |-> G/H over the family's poset, and the periodic resolutions of the G/H_0
-(Brown, Cohomology of Groups, GTM 87, I.6) laid over its strict chains
-H_0 < ... < H_p resolve the constant functor: one block M(G/H_0) per chain
-in each degree n = p + q, differential d_h + (-1)^p d_v.  d_v is g - 1 for
-even q and the norm for odd q; d_h alternates the faces of the chain, face 0
-being |H_1/H_0|^(q // 2) times the projection's module map (the comparison
-maps of the resolutions, which compose strictly), the others the identity.
-A degree has a few blocks where the nerve of the trivial family alone has
-(|G| - 1)^n chains; BredonComplex stays the oracle it is checked against.
+When every member of the family is normal, NormalFamilyComplex is a far
+smaller complex.  Hom(G/K, G/H) = G/H for K <= H, so the orbit category is
+the Grothendieck construction of H |-> G/H over the family's poset, and
+resolutions of Z over the G/H_0, mapped to each other along the projections
+by chain maps that compose strictly, laid over the strict chains resolve the
+constant functor (Thomason's homotopy colimit theorem): one block M(G/H_0)
+per strict chain H_0 < ... < H_p and per generator of H_0's resolution in
+degree q, n = p + q, with d = d_h + (-1)^p d_v.  d_v is that resolution's
+differential on M(G/H_0); faces 1..p of d_h are the identity.
 
-When every member of the family is normal, NormalFamilyComplex does the
-same with resolutions of the quotients.  Hom(G/K, G/H) = G/H for K <= H,
-so the orbit category is again the Grothendieck construction of H |-> G/H,
-and resolutions of Z over the G/H_0, mapped to each other along the
-projections by chain maps that compose strictly, laid over the strict
-chains resolve the constant functor (Thomason's homotopy colimit theorem):
-one block M(G/H_0) per strict chain H_0 < ... < H_p and per generator of
-H_0's resolution in degree q, n = p + q, with d = d_h + (-1)^p d_v.  d_v is
-that resolution's differential on M(G/H_0); faces 1..p of d_h are the
-identity.  An object keeps the normalized bar resolution of G/H_0 (Brown,
+For a cyclic group G = <g> every object takes the periodic resolution of
+G/H_0 = <t>, t = gH_0 (Brown, Cohomology of Groups, GTM 87, I.6): one
+generator e_q in each degree, d e_q being (t - 1) e_(q-1) for odd q and the
+norm of <t> times e_(q-1) for even q (0 and e_(q-1) at G/G).  Face 0 of d_h
+is |H_1/H_0|^(q // 2) times the projection's module map: the chain map from
+G/H_0's periodic resolution to G/H_1's over the projection, which sends t
+to gH_1, is e_q |-> |H_1/H_0|^(q // 2) e_q, and these compose strictly.
+A degree has a few blocks where the nerve of the trivial family alone has
+(|G| - 1)^n chains.
+
+Otherwise an object keeps the normalized bar resolution of G/H_0 (Brown,
 I.5), one generator per cell (g_1, ..., g_q) of non-identity automorphisms,
 unless it is a minimal member (no member lies strictly inside it) whose
 quotient is abelian.  Such a G/H_0 = <t_1> x ... x <t_r> (_cyclic_factors,
@@ -56,38 +55,37 @@ periodic resolutions of the <t_j> (Brown, I.6 and V.1), one generator e_a
 per a in N^r with |a| = q, C(q + r - 1, r - 1) of them against the bar's
 (|G/H_0| - 1)^q: d e_a = sum_j (-1)^(a_1 + ... + a_{j-1}) theta_j
 e_(a - delta_j), theta_j being t_j - 1 for odd a_j and the norm of <t_j>
-for even a_j.  Face 0 of d_h sends a cochain phi on H_1's bar cells to
-M(pi) o phi o B(pi) o c: B(pi) maps a cell to its image under G/H_0 ->
-G/H_1 (none if an image is the identity), and c is the comparison map from
-H_0's resolution to its bar resolution, c_0(e) = [] and c_q(e) =
-s(c_{q-1}(d e)) with s(x[g_1|...]) = [x|g_1|...] the bar resolution's
-contracting homotopy, so each c_q(e) is an integer combination of cells (on
-the bar resolution c is the identity).  The bar construction is a functor
-of the group and a minimal member is never the target of a projection, so
-B(pi_12) o B(pi_01) o c = B(pi_02) o c and d o d = 0 holds strictly: no
-higher homotopies enter d_h.  Precomposition with c maps the complex built
-on bar cells alone to this one, inducing H^q(G/H_0; M(G/H_0)) isomorphically
-on each column, so by the spectral sequence of the filtration by p the
-total cohomology is the same.  The blocks in degree n are far fewer than
-the nerve's chains wherever one member lies in another, as a map G/H_0 ->
-G/H_1 enters only as the projection.
+for even a_j (the periodic resolution is the case r = 1).  Face 0 of d_h
+sends a cochain phi on H_1's bar cells to M(pi) o phi o B(pi) o c: B(pi)
+maps a cell to its image under G/H_0 -> G/H_1 (none if an image is the
+identity), and c is the comparison map from H_0's resolution to its bar
+resolution, c_0(e) = [] and c_q(e) = s(c_{q-1}(d e)) with s(x[g_1|...]) =
+[x|g_1|...] the bar resolution's contracting homotopy, so each c_q(e) is an
+integer combination of cells (on the bar resolution c is the identity).
+The bar construction is a functor of the group and a minimal member is
+never the target of a projection, so B(pi_12) o B(pi_01) o c = B(pi_02) o c
+and d o d = 0 holds strictly: no higher homotopies enter d_h.
+Precomposition with c maps the complex built on bar cells alone to this
+one, inducing H^q(G/H_0; M(G/H_0)) isomorphically on each column, so by the
+spectral sequence of the filtration by p the total cohomology is the same.
+The blocks in degree n are far fewer than the nerve's chains wherever one
+member lies in another, as a map G/H_0 -> G/H_1 enters only as the
+projection.
 
-Its tables (the resolution's d, d_v, B(pi) o c and face 0 of d_h) are keyed
-by what each reads, not by object, so objects and pairs that read the same
-share one: d by the object's resolution, the automorphism table in place
-order or the cyclic rows; d_v by that and the module maps of the
-automorphisms; B(pi) o c by the resolution and the image of H_0's
-automorphisms in H_1's; face 0 by that and the projection's module map.
+Its tables (the resolution's d, d_v, B(pi) o c and face 0 of d_h into bar
+cells) are keyed by what each reads, not by object, so objects and pairs
+that read the same share one: d by the object's resolution, the
+automorphism table in place order or the cyclic rows; d_v by that and the
+module maps of the automorphisms; B(pi) o c by the resolution and the image
+of H_0's automorphisms in H_1's; face 0 by that and the projection's module
+map.  Face 0 between periodic resolutions is a scalar and needs no table.
 
-cochain_complex picks the complex a command reads: CyclicComplex for a
-cyclic group, NormalFamilyComplex for normal members with a strict
-inclusion among them or with abelian quotients alone, the nerve otherwise.
-On an antichain of normal members the bar cells are the nerve's chains, so
+cochain_complex picks the complex a command reads: NormalFamilyComplex for
+normal members with a strict inclusion among them or with abelian quotients
+alone (so for every family of a cyclic group), the nerve otherwise.  On an
+antichain of normal members the bar cells are the nerve's chains, so
 NormalFamilyComplex gains there only where every member is minimal with an
-abelian quotient and takes the product resolution.  The two strict-chain
-complexes share _StrictChains: the chains, their counts by length and start,
-the size cap, which counts the blocks of one degree from those counts before
-any chain is listed, and the faces 1..p.
+abelian quotient and takes the product resolution.
 
 Each complex supplies its layout (the blocks of a degree, under its own size
 cap), _values(degree), one group per block in block order, and
@@ -285,122 +283,6 @@ def _cyclic_generator(group) -> int | None:
                  if group.element_order(a) == group.order), None)
 
 
-class _StrictChains:
-    """The strict-chain layer that CyclicComplex and NormalFamilyComplex
-    share: the strict chains H_0 < ... < H_p of the module's objects, where
-    their blocks start, and the faces 1..p of d_h.
-
-    A chain from object i carries _gens(i, q) blocks M(G/H_0) in degree
-    p + q, the generators of i's resolution in degree q.  The size cap
-    counts the blocks of one degree, from the counts of chains by length
-    and start alone, before any chain is listed.
-    """
-
-    def __init__(self, module: OrbitModule, size_cap: int):
-        self.module, self.size_cap = module, size_cap
-        subs = module.cat.subgroups
-        members = [set(h.members) for h in subs]
-        # the members strictly above H, each with the projection's module map
-        self._above = [
-            {j: module.map_matrix(OrbitMorphism(h, k, 0))
-             for j, k in enumerate(subs) if members[i] < members[j]}
-            for i, h in enumerate(subs)]
-        # the number of strict chains of each length from each start, up to
-        # the first length with none
-        self._counts = [[1] * len(subs)]
-        while any(self._counts[-1]):
-            self._counts.append([sum(map(self._counts[-1].__getitem__, up))
-                                 for up in self._above])
-        self._levels = [[(i,) for i in range(len(subs))]]
-        super().__init__()
-
-    def layout(self, degree: int) -> list[tuple[int, ...]]:
-        """The strict chains of the blocks of one degree, by length, then in
-        lexicographic order, within the size cap."""
-        total = sum(c * self._gens(i, degree - p)
-                    for p, counts in enumerate(self._counts[:degree + 1])
-                    for i, c in enumerate(counts))
-        if total > self.size_cap:
-            raise SizeLimitError(total, self.size_cap)
-        levels = self._levels
-        while len(levels) <= degree and levels[-1]:
-            levels.append(sorted((i,) + c for c in levels[-1]
-                                 for i, up in enumerate(self._above) if c[0] in up))
-        return [c for level in levels[:degree + 1] for c in level]
-
-    def _offsets(self, degree: int, off: list[int]) -> dict:
-        """Each chain of the degree to its first generator, given the blocks'."""
-        chains = self.layout(degree)
-        firsts = accumulate((self._gens(c[0], degree + 1 - len(c)) for c in chains),
-                            initial=0)
-        return dict(zip(chains, map(off.__getitem__, firsts)))
-
-    @staticmethod
-    def _inner_faces(entries: dict, chain, roff: int, src: dict, size: int):
-        """Faces 1..p of d_h into chain's blocks at roff: (-1)^i times the
-        identity from the chain without H_i, over its first size generators."""
-        rows = range(roff, roff + size)
-        for i in range(1, len(chain)):
-            coff = src[chain[:i] + chain[i + 1:]]
-            entries.update(zip(zip(rows, range(coff, coff + size)),
-                               repeat(-1 if i % 2 else 1)))
-
-
-class CyclicComplex(_StrictChains, _CochainComplex):
-    """Cochain complex of an orbit module over a cyclic group on the
-    periodic resolution (see the module docstring), for any family.
-
-    In one degree a block is named by its chain alone, q being the degree
-    less the chain's length; the blocks follow the chains by length, then
-    in lexicographic order.  The size cap counts the blocks of one degree.
-    """
-
-    def __init__(self, module: OrbitModule, size_cap: int = DEFAULT_SIZE_CAP):
-        cat, group = module.cat, module.cat.group
-        gen = _cyclic_generator(group)
-        if gen is None:
-            raise BadParametersError(f"{group.name} is not cyclic")
-        norm = [IntMatrix(v.ngens, v.ngens) for v in module.values]
-        for k, (s, t) in enumerate(zip(cat.m_src, cat.m_tgt)):
-            if s == t:
-                norm[s] = norm[s] + module.maps[k]
-        # d_v at H: (g - 1, the norm)
-        self._vertical = [(module.map_matrix(OrbitMorphism(
-            h, h, canonical_rep(group, gen, h))) - IntMatrix.identity(v.ngens), nm)
-            for h, v, nm in zip(cat.subgroups, module.values, norm)]
-        super().__init__(module, size_cap)
-
-    @staticmethod
-    def _gens(i: int, q: int) -> int:
-        return 1
-
-    def _values(self, degree: int) -> list[FgAbGroup]:
-        return [self.module.values[c[0]] for c in self.layout(degree)]
-
-    def _entries(self, degree: int, src_off, dst_off) -> dict:
-        """d^degree, one target block at a time: (-1)^p d_v from the same
-        chain, then the faces of the chain, which are distinct chains."""
-        src = self._offsets(degree, src_off)
-        subs, values = self.module.cat.subgroups, self.module.values
-        entries: dict[tuple[int, int], int] = {}
-
-        def put(roff, coff, mat, c):
-            for (i, j), v in mat.entries.items():
-                entries[(roff + i, coff + j)] = c * v
-
-        for chain, roff in self._offsets(degree + 1, dst_off).items():
-            p, h = len(chain) - 1, chain[0]
-            q = degree + 1 - p
-            if q:
-                put(roff, src[chain], self._vertical[h][(q - 1) % 2], (-1) ** p)
-            if p:
-                k = chain[1]
-                put(roff, src[chain[1:]], self._above[h][k],
-                    (subs[k].size // subs[h].size) ** (q // 2))
-                self._inner_faces(entries, chain, roff, src, values[h].ngens)
-        return entries
-
-
 def _matrix_key(mat: IntMatrix) -> tuple:
     """A matrix as a key: its shape, then its entries in their order."""
     return mat.rows, mat.cols, tuple(mat.entries.items())
@@ -451,18 +333,19 @@ def _compositions(q: int, r: int) -> list[tuple[int, ...]]:
     return [(a,) + rest for a in range(q + 1) for rest in _compositions(q - a, r - 1)]
 
 
-class NormalFamilyComplex(_StrictChains, _CochainComplex):
+class NormalFamilyComplex(_CochainComplex):
     """Cochain complex of an orbit module whose family has normal members
-    alone, on resolutions of the G/H laid over the strict chains (see the
-    module docstring).
+    alone, on resolutions of the G/H laid over the strict chains H_0 < ...
+    < H_p of its objects (see the module docstring).
 
-    In one degree the blocks follow the chains as CyclicComplex's do, and a
-    chain's blocks follow the generators of its first object's resolution:
-    at a minimal member with an abelian quotient the e_a, a in N^r, of the
-    product of periodic resolutions, lexicographically; at any other object
-    the cells (g_1, ..., g_q) lexicographically, each g_i a non-identity
-    automorphism of G/H_0 in the category's order.  The size cap counts the
-    blocks of one degree.
+    In one degree the blocks follow the chains by length, then in
+    lexicographic order, and a chain's blocks follow the generators of its
+    first object's resolution: the e_a, a in N^r, of a product of periodic
+    resolutions, lexicographically; the cells (g_1, ..., g_q) of the bar
+    resolution lexicographically, each g_i a non-identity automorphism of
+    G/H_0 in the category's order.  The size cap counts the blocks of one
+    degree, from the counts of chains by length and start alone, before any
+    chain is listed.
     """
 
     def __init__(self, module: OrbitModule, size_cap: int = DEFAULT_SIZE_CAP):
@@ -471,29 +354,54 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
         if not all(h.is_normal() for h in subs):
             raise BadParametersError(
                 f"a family member is not normal in {group.name}")
-        # the automorphisms of each G/H but the identity, and _comp[h][a][b]
-        # the place of autos a then b among them, -1 where that is the identity
+        self.module, self.size_cap = module, size_cap
+        members = [set(h.members) for h in subs]
+        # the members strictly above H, each with the projection's module map
+        self._above = [
+            {j: module.map_matrix(OrbitMorphism(h, k, 0))
+             for j, k in enumerate(subs) if members[i] < members[j]}
+            for i, h in enumerate(subs)]
+        # the number of strict chains of each length from each start, up to
+        # the first length with none; the chains of each length, as listed
+        self._counts = [[1] * len(subs)]
+        while any(self._counts[-1]):
+            self._counts.append([sum(map(self._counts[-1].__getitem__, up))
+                                 for up in self._above])
+        self._levels = [[(i,) for i in range(len(subs))]]
+        self._layouts: dict[int, dict[tuple[int, ...], int]] = {}
+        # the automorphisms of each G/H but the identity
         self._autos = [[m for m in out if cat.m_tgt[m] == i
                         and not cat.morphs[m].is_identity()]
                        for i, out in enumerate(cat.out)]
         places = [{m: a for a, m in enumerate(autos)} for autos in self._autos]
-        self._comp = [[[place.get(cat.compose_ids(x, y), -1) for y in autos]
-                       for x in autos] for place, autos in zip(places, self._autos)]
-        # at a minimal member with an abelian quotient, the powers 1, t, ...
-        # of each cyclic factor <t> by their places (-1 for the identity);
-        # None at the objects that keep the bar resolution
-        members = [set(h.members) for h in subs]
+        # the powers 1, t, ... of each cyclic factor <t> of a periodic
+        # resolution by their places (-1 for the identity): for G = <g>, the
+        # one factor <gH> at every object (just [-1] at G/G), else those of a
+        # minimal member with an abelian quotient; None at the objects that
+        # keep the bar resolution
+        gen = _cyclic_generator(group)
         self._cyclic = []
         for h, mine, place in zip(subs, members, places):
             rows = []
-            if not any(m < mine for m in members):
-                for t in _cyclic_factors(group, h) or ():
-                    row, x = [-1], t
-                    while x:
-                        row.append(place[cat.morphism_id(OrbitMorphism(h, h, x))])
-                        x = canonical_rep(group, group.mul(x, t), h)
-                    rows.append(row)
+            if gen is not None:
+                factors = [canonical_rep(group, gen, h)]
+            elif not any(m < mine for m in members):
+                factors = _cyclic_factors(group, h) or ()
+            else:
+                factors = ()
+            for t in factors:
+                row, x = [-1], t
+                while x:
+                    row.append(place[cat.morphism_id(OrbitMorphism(h, h, x))])
+                    x = canonical_rep(group, group.mul(x, t), h)
+                rows.append(row)
             self._cyclic.append(rows or None)
+        # at the objects with bar cells, _comp[h][a][b] the place of autos a
+        # then b, -1 where that is the identity
+        self._comp = [None if rows else
+                      [[place.get(cat.compose_ids(x, y), -1) for y in autos]
+                       for x in autos]
+                      for rows, place, autos in zip(self._cyclic, places, self._autos)]
         # the ids of what each object's tables read (module docstring): its
         # resolution, and that with its automorphisms' module maps
         self._ids: dict[tuple, int] = {}
@@ -507,7 +415,7 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
         self._verticals: dict[tuple, list] = {}
         self._compared_at: dict[tuple, list] = {}
         self._projections: dict[tuple, list] = {}
-        super().__init__(module, size_cap)
+        super().__init__()
 
     def _id(self, read: tuple) -> int:
         """A small key for what a table reads, the same for equal reads."""
@@ -518,17 +426,47 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
         rows = self._cyclic[i]
         return comb(q + len(rows) - 1, q) if rows else len(self._autos[i]) ** q
 
+    def layout(self, degree: int) -> dict[tuple[int, ...], int]:
+        """The strict chains of the blocks of one degree, by length, then in
+        lexicographic order, each to its number of blocks, within the size
+        cap.  Built once per degree; a degree past the cap raises on every
+        call."""
+        got = self._layouts.get(degree)
+        if got is None:
+            gens = [[self._gens(i, degree - p) for i in range(len(counts))]
+                    for p, counts in enumerate(self._counts[:degree + 1])]
+            total = sum(c * k for counts, row in zip(self._counts, gens)
+                        for c, k in zip(counts, row))
+            if total > self.size_cap:
+                raise SizeLimitError(total, self.size_cap)
+            levels = self._levels
+            while len(levels) <= degree and levels[-1]:
+                levels.append(sorted((i,) + c for c in levels[-1]
+                                     for i, up in enumerate(self._above) if c[0] in up))
+            got = self._layouts[degree] = {
+                c: gens[len(c) - 1][c[0]] for level in levels[:degree + 1] for c in level}
+        return got
+
+    def _offsets(self, degree: int, off: list[int]) -> dict:
+        """Each chain of the degree to its first generator, given the blocks'."""
+        layout = self.layout(degree)
+        return dict(zip(layout, map(off.__getitem__,
+                                    accumulate(layout.values(), initial=0))))
+
     def _values(self, degree: int) -> list[FgAbGroup]:
         values = self.module.values
-        return [values[c[0]] for c in self.layout(degree)
-                for _ in range(self._gens(c[0], degree + 1 - len(c)))]
+        return [values[c[0]] for c, k in self.layout(degree).items() for _ in range(k)]
 
     def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, one target chain at a time: (-1)^p d_v from the same
-        chain, face 0 of d_h from the chain without H_0, then faces 1..p;
-        d_v and face 0 shift one table each, built once per distinct key."""
+        chain, face 0 of d_h from the chain without H_0, then faces 1..p,
+        (-1)^i times the identity from the chain without H_i.  d_v, and face 0
+        where G/H_1 has bar cells, shift one table each, built once per
+        distinct key; where G/H_1 has a periodic resolution, face 0 is
+        |H_1/H_0|^(q // 2) times the projection's module map."""
         src = self._offsets(degree, src_off)
-        values = self.module.values
+        sizes = self.layout(degree + 1)
+        subs, values = self.module.cat.subgroups, self.module.values
         entries: dict[tuple[int, int], int] = {}
         for chain, roff in self._offsets(degree + 1, dst_off).items():
             p, h = len(chain) - 1, chain[0]
@@ -538,11 +476,19 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                 entries.update({(roff + i, coff + j): sign * v
                                 for i, j, v in self._vertical(h, q)})
             if p:
-                coff = src[chain[1:]]
-                entries.update({(roff + i, coff + j): v
-                                for i, j, v in self._projection(h, chain[1], q)})
-                self._inner_faces(entries, chain, roff, src,
-                                  self._gens(h, q) * values[h].ngens)
+                top, coff = chain[1], src[chain[1:]]
+                if self._cyclic[top] is None:
+                    face = self._projection(h, top, q)
+                else:
+                    c = (subs[top].size // subs[h].size) ** (q // 2)
+                    face = ((i, j, c * v)
+                            for (i, j), v in self._above[h][top].entries.items())
+                entries.update({(roff + i, coff + j): v for i, j, v in face})
+                rows = range(roff, roff + sizes[chain] * values[h].ngens)
+                for i in range(1, p + 1):
+                    coff = src[chain[:i] + chain[i + 1:]]
+                    entries.update(zip(zip(rows, range(coff, coff + len(rows))),
+                                       repeat(-1 if i % 2 else 1)))
         return entries
 
     def _boundary(self, h: int, q: int) -> dict[int, dict[tuple[int, int], int]]:
@@ -585,7 +531,8 @@ class NormalFamilyComplex(_StrictChains, _CochainComplex):
                         if e:
                             s = place[a[:j] + (e - 1,) + a[j + 1:]]
                             if e % 2:
-                                got[row[1]][(t, s)], got[-1][(t, s)] = sign, -sign
+                                if row[1:]:         # t_j - 1 is 0 at t_j = 1
+                                    got[row[1]][(t, s)], got[-1][(t, s)] = sign, -sign
                                 sign = -sign
                             else:
                                 for x in row:
@@ -683,8 +630,6 @@ def cochain_complex(module: OrbitModule,
     """The complex the module's cohomology is read off, picked from what the
     input shows (see the module docstring)."""
     cat = module.cat
-    if _cyclic_generator(cat.group) is not None:
-        return CyclicComplex(module, size_cap)
     members = [set(h.members) for h in cat.subgroups]
     if all(h.is_normal() for h in cat.subgroups) and (
             any(a < b for a in members for b in members)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .bredon import (
     BarComplex,
     BredonComplex,
-    CyclicComplex,
     cochain_complex,
     restriction_kernel_intersection,
 )
@@ -370,7 +369,7 @@ def galois_suite(threads: int = 1) -> SuiteReport:
                     for fam in fams:
                         # the galois layer's periodic route, the nerve its oracle
                         om = fixed_point_functor(module, fam)
-                        route, nerve = CyclicComplex(om), BredonComplex(fam, om)
+                        route, nerve = cochain_complex(om), BredonComplex(fam, om)
                         groups = [route.cohomology(k) for k in range(4)]
                         for k, got in enumerate(groups):
                             want = nerve.cohomology(k)

@@ -18,7 +18,7 @@ import os
 import re
 import sys
 
-from .bredon import DEFAULT_SIZE_CAP, BarComplex, CyclicComplex, cochain_complex
+from .bredon import DEFAULT_SIZE_CAP, BarComplex, cochain_complex
 from .checks import available_suites, run_suites
 from .coeff import GModule, fixed_point_functor, sign_modules
 from .errors import (
@@ -390,7 +390,7 @@ def cmd_galois(args) -> int:
     if not family.contains_trivial():
         raise FamilyMissingTrivialError("family must contain the trivial subgroup")
     # one unit functor and one complex, read in every degree (galoisff)
-    cx = CyclicComplex(fixed_point_functor(module, family), args.size_cap)
+    cx = cochain_complex(fixed_point_functor(module, family), args.size_cap)
     h1, h2 = cx.cohomology(1), cx.cohomology(2)
     doc = {"command": "galois", "p": args.p, "n": args.n, "d": args.d,
            "unit_group_order": args.p ** args.n - 1,

@@ -7,11 +7,13 @@ multiplication by p^d.  Fields are never represented element by element.
 
 Bredon-Galois cohomology is the cohomology of one complex, that of the unit
 functor fixed_point_functor(units_gmodule(p, n, d), family), which the
-galois command builds once as a bredon.CyclicComplex and reads in every
-degree.  For a family containing the trivial subgroup, its H^1 is the
-analogue of Hilbert 90 and its H^2 the intersection of the relative Brauer
-groups of the intermediate fields fixed by the family; for a family closed
-under conjugation and subgroups, its H^3 is the odd-degree check.  The
+galois command builds once with bredon.cochain_complex and reads in every
+degree: the Galois group is cyclic, so that is the strict-chain complex
+with the periodic resolution at every object.  For a family containing the
+trivial subgroup, its H^1 is the analogue of Hilbert 90 and its H^2 the
+intersection of the relative Brauer groups of the intermediate fields fixed
+by the family; for a family closed under conjugation and subgroups, its H^3
+is the odd-degree check.  The
 classical expectations are that all three vanish: H^1 by Hilbert 90, H^2
 because relative Brauer groups of finite fields are trivial, and the odd
 degrees because the group is cyclic.  They are computed, not assumed.

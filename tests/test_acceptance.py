@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from orbitcoh.bredon import CyclicComplex
+from orbitcoh.bredon import cochain_complex
 from orbitcoh.checks import (
     characters_suite,
     oracle_suite,
@@ -93,7 +93,7 @@ def test_criterion_5_kernel_intersections(oracle_report):
 def _unit_complexes(p, n, d):
     """(family, the unit functor's one complex) per closed family."""
     module = units_gmodule(p, n, d)
-    return [(fam, CyclicComplex(fixed_point_functor(module, fam)))
+    return [(fam, cochain_complex(fixed_point_functor(module, fam)))
             for fam in closed_families(module.group)]
 
 

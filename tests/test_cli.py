@@ -204,7 +204,8 @@ def count_calls(monkeypatch, module, names) -> dict:
 def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
                                                           tmp_path, family):
     built = count_calls(monkeypatch, cli, ("units_gmodule", "fixed_point_functor",
-                                           "CyclicComplex"))
+                                           "cochain_complex"))
+    complexes = count_calls(monkeypatch, bredon, ("NormalFamilyComplex", "BredonComplex"))
     if family == "non-closed":
         family = write_json(tmp_path, "fam.json",
                             {"subgroups": [[0], [0, 1, 2, 3]]})
@@ -212,20 +213,21 @@ def test_galois_builds_one_module_one_functor_one_complex(capsys, monkeypatch,
                            "--family", family, "--check")
     assert code == 0 and json.loads(out)["all_zero"] is True
     assert built == {"units_gmodule": 1, "fixed_point_functor": 1,
-                     "CyclicComplex": 1}
+                     "cochain_complex": 1}
+    assert complexes == {"NormalFamilyComplex": 1}
 
 
 # (group, family, the one complex cohomology builds): resolutions over the
 # strict chains of normal members, with a strict inclusion or with abelian
-# quotients alone; the periodic resolution of a cyclic group; and the nerve
-# for an antichain with a quotient that is not abelian, or a member that is
-# not normal
+# quotients alone (periodic resolutions at every object of a cyclic group);
+# and the nerve for an antichain with a quotient that is not abelian, or a
+# member that is not normal
 ROUTES = [
     ("c2xc2xc2", "closed", "NormalFamilyComplex"),
     ("q8", "cyclic", "NormalFamilyComplex"),
     ("c2xc2xc2", "trivial-only", "NormalFamilyComplex"),
     ("c4xc2", "trivial-only", "NormalFamilyComplex"),
-    ("c6", "trivial-only", "CyclicComplex"),
+    ("c6", "trivial-only", "NormalFamilyComplex"),
     ("s3", "trivial-only", "BredonComplex"),
     ("d4", "cyclic", "BredonComplex"),
 ]
@@ -235,8 +237,7 @@ ROUTES = [
                          ids=[f"{g}-{f}" for g, f, _ in ROUTES])
 def test_cohomology_builds_one_complex_of_its_route(capsys, monkeypatch, tmp_path,
                                                     group, family, route):
-    built = count_calls(monkeypatch, bredon, ("NormalFamilyComplex",
-                                              "CyclicComplex", "BredonComplex"))
+    built = count_calls(monkeypatch, bredon, ("NormalFamilyComplex", "BredonComplex"))
     if family == "closed":
         family = write_json(tmp_path, "fam.json",
                             {"subgroups": [[0]] + [[0, x] for x in range(1, 8)]})

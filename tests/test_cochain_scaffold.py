@@ -9,7 +9,7 @@ on every later call.
 import pytest
 from normal_family_reference import same_differentials
 
-from orbitcoh.bredon import BarComplex, BredonComplex, CyclicComplex, NormalFamilyComplex
+from orbitcoh.bredon import BarComplex, BredonComplex, NormalFamilyComplex
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
 from orbitcoh.groups import FiniteGroup, builtin_group, cyclic_family, full_family
 from orbitcoh.intlin import FgAbGroup, IntMatrix
@@ -29,7 +29,7 @@ def bredon_d4_cyclic_z():
 def cyclic_c6_full_z4():
     group = FiniteGroup.cyclic(6)
     family = full_family(group)
-    return CyclicComplex(fixed_point_functor(GModule.trivial(group, _cyclic(4)), family))
+    return NormalFamilyComplex(fixed_point_functor(GModule.trivial(group, _cyclic(4)), family))
 
 
 def normal_q8_cyclic_sign():
@@ -80,5 +80,7 @@ def test_each_degree_is_assembled_once(make, monkeypatch):
 
 def test_shared_tables_give_the_per_object_differentials():
     # NormalFamilyComplex shares a table among objects that read the same;
-    # the per-object reference builds each object's own
+    # the per-object reference builds each object's own, on bar cells and
+    # product resolutions (q8) and on periodic resolutions alone (C6)
     assert same_differentials(normal_q8_cyclic_sign(), 2)
+    assert same_differentials(cyclic_c6_full_z4(), 3)

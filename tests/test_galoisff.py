@@ -1,6 +1,6 @@
 import pytest
 
-from orbitcoh.bredon import BredonComplex, CyclicComplex
+from orbitcoh.bredon import BredonComplex, cochain_complex
 from orbitcoh.coeff import fixed_point_functor
 from orbitcoh.errors import BadParametersError
 from orbitcoh.galoisff import PRIME_BOUND, _is_prime, primary_parts, units_gmodule
@@ -68,12 +68,12 @@ def test_fixed_subfield_units_match_galois_theory():
 def _unit_complex(p, n, d, make_family=full_family):
     """The one complex of the unit functor over make_family(Galois group)."""
     module = units_gmodule(p, n, d)
-    return CyclicComplex(fixed_point_functor(module, make_family(module.group)))
+    return cochain_complex(fixed_point_functor(module, make_family(module.group)))
 
 
 def _closed_unit_complexes(p, n, d):
     module = units_gmodule(p, n, d)
-    return [CyclicComplex(fixed_point_functor(module, fam))
+    return [cochain_complex(fixed_point_functor(module, fam))
             for fam in closed_families(module.group)]
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from elimination_reference import ReferenceColumnReduction
 from orbitcoh import intlin
-from orbitcoh.bredon import BredonComplex, CyclicComplex
+from orbitcoh.bredon import BredonComplex, NormalFamilyComplex
 from orbitcoh.coeff import fixed_point_functor
 from orbitcoh.galoisff import units_gmodule
 from orbitcoh.groups import trivial_family
@@ -162,7 +162,7 @@ def test_galois_preimages_reduce_as_set_indexed_reference(p, monkeypatch):
     module = units_gmodule(p, 4, 1)
     family = trivial_family(module.group)
     functor = fixed_point_functor(module, family)
-    route, nerve = CyclicComplex(functor), BredonComplex(family, functor)
+    route, nerve = NormalFamilyComplex(functor), BredonComplex(family, functor)
     for degree in (1, 2, 3):
         route.cohomology(degree)
         nerve.cohomology(degree)

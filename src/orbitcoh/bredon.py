@@ -36,49 +36,48 @@ per strict chain H_0 < ... < H_p and per generator of H_0's resolution in
 degree q, n = p + q, with d = d_h + (-1)^p d_v.  d_v is that resolution's
 differential on M(G/H_0); faces 1..p of d_h are the identity.
 
-For a cyclic group G = <g> every object takes the periodic resolution of
-G/H_0 = <t>, t = gH_0 (Brown, Cohomology of Groups, GTM 87, I.6): one
-generator e_q in each degree, d e_q being (t - 1) e_(q-1) for odd q and the
-norm of <t> times e_(q-1) for even q (0 and e_(q-1) at G/G).  Face 0 of d_h
-is |H_1/H_0|^(q // 2) times the projection's module map: the chain map from
-G/H_0's periodic resolution to G/H_1's over the projection, which sends t
-to gH_1, is e_q |-> |H_1/H_0|^(q // 2) e_q, and these compose strictly.
-A degree has a few blocks where the nerve of the trivial family alone has
-(|G| - 1)^n chains.
+Each object G/H_0 takes a free resolution of Z over Z[G/H_0].  For a
+cyclic group G = <g> it is the periodic resolution of G/H_0 = <t>, t = gH_0
+(Brown, Cohomology of Groups, GTM 87, I.6): one generator e_q in each
+degree, d e_q being (t - 1) e_(q-1) for odd q and the norm of <t> times
+e_(q-1) for even q (0 and e_(q-1) at G/G); a degree has a few blocks where
+the nerve of the trivial family alone has (|G| - 1)^n chains.  Otherwise it
+is the normalized bar resolution of G/H_0 (Brown, I.5), one generator per
+cell (g_1, ..., g_q) of non-identity automorphisms, unless H_0 is a minimal
+member (no member lies strictly inside it) with an abelian quotient.  Such
+a G/H_0 = <t_1> x ... x <t_r> (_cyclic_factors, a normal form of its
+relation lattice) takes the tensor product of the periodic resolutions of
+the <t_j> (Brown, I.6 and V.1), one generator e_a per a in N^r with |a| =
+q, C(q + r - 1, r - 1) of them against the bar's (|G/H_0| - 1)^q: d e_a =
+sum_j (-1)^(a_1 + ... + a_{j-1}) theta_j e_(a - delta_j), theta_j being
+t_j - 1 for odd a_j and the norm of <t_j> for even a_j.
 
-Otherwise an object keeps the normalized bar resolution of G/H_0 (Brown,
-I.5), one generator per cell (g_1, ..., g_q) of non-identity automorphisms,
-unless it is a minimal member (no member lies strictly inside it) whose
-quotient is abelian.  Such a G/H_0 = <t_1> x ... x <t_r> (_cyclic_factors,
-a normal form of its relation lattice) takes the tensor product of the
-periodic resolutions of the <t_j> (Brown, I.6 and V.1), one generator e_a
-per a in N^r with |a| = q, C(q + r - 1, r - 1) of them against the bar's
-(|G/H_0| - 1)^q: d e_a = sum_j (-1)^(a_1 + ... + a_{j-1}) theta_j
-e_(a - delta_j), theta_j being t_j - 1 for odd a_j and the norm of <t_j>
-for even a_j (the periodic resolution is the case r = 1).  Face 0 of d_h
-sends a cochain phi on H_1's bar cells to M(pi) o phi o B(pi) o c: B(pi)
-maps a cell to its image under G/H_0 -> G/H_1 (none if an image is the
-identity), and c is the comparison map from H_0's resolution to its bar
-resolution, c_0(e) = [] and c_q(e) = s(c_{q-1}(d e)) with s(x[g_1|...]) =
-[x|g_1|...] the bar resolution's contracting homotopy, so each c_q(e) is an
-integer combination of cells (on the bar resolution c is the identity).
-The bar construction is a functor of the group and a minimal member is
-never the target of a projection, so B(pi_12) o B(pi_01) o c = B(pi_02) o c
-and d o d = 0 holds strictly: no higher homotopies enter d_h.
-Precomposition with c maps the complex built on bar cells alone to this
-one, inducing H^q(G/H_0; M(G/H_0)) isomorphically on each column, so by the
-spectral sequence of the filtration by p the total cohomology is the same.
-The blocks in degree n are far fewer than the nerve's chains wherever one
-member lies in another, as a map G/H_0 -> G/H_1 enters only as the
-projection.
+A resolution gives gens(q), its generators in degree q; boundary(q), its
+differential in the group ring; and along(src, image, q), the chain map
+into it from src, the resolution of G/H_0, over a projection pi: G/H_0 ->
+G/H_1 (image: pi on G/H_0's automorphisms).  Face 0 of d_h sends a cochain
+phi on G/H_1's generators to M(pi) o phi o along.  Into bar cells, along is
+B(pi) o c: c is the comparison map from src to the bar resolution of G/H_0,
+c_0(e) = [] and c_q(e) = s(c_{q-1}(d e)) with s(x[g_1|...]) = [x|g_1|...]
+the contracting homotopy, an integer combination of cells (c is the
+identity on the bar resolution), and B(pi) maps a cell to its image (none
+if an image is the identity).  The bar construction is a functor of the
+group and a minimal member is never the target of a projection, so
+B(pi_12) o B(pi_01) o c = B(pi_02) o c and d o d = 0 holds strictly: no
+higher homotopies enter d_h.  Precomposition with c maps the complex on bar
+cells alone to this one, inducing H^q(G/H_0; M(G/H_0)) isomorphically on
+each column, so by the spectral sequence of the filtration by p the total
+cohomology is the same.  A periodic resolution is the target of a
+projection only when G is cyclic, and there along is e_q |-> |H_1/H_0|^(q
+// 2) e_q, which sends t to pi(t); these compose strictly.  The blocks in
+degree n are far fewer than the nerve's chains wherever one member lies in
+another, as a map G/H_0 -> G/H_1 enters only as the projection.
 
-Its tables (the resolution's d, d_v, B(pi) o c and face 0 of d_h into bar
-cells) are keyed by what each reads, not by object, so objects and pairs
-that read the same share one: d by the object's resolution, the
-automorphism table in place order or the cyclic rows; d_v by that and the
-module maps of the automorphisms; B(pi) o c by the resolution and the image
-of H_0's automorphisms in H_1's; face 0 by that and the projection's module
-map.  Face 0 between periodic resolutions is a scalar and needs no table.
+Objects whose resolutions are built from one table (the automorphisms'
+product in place order, or the cyclic rows) share one resolution, with its
+boundary and along tables.  The complex keys its tables by what each reads:
+d_v by the resolution and the automorphisms' module maps, face 0 by both
+resolutions, image and the projection's module map.
 
 cochain_complex picks the complex a command reads: NormalFamilyComplex for
 normal members with a strict inclusion among them or with abelian quotients
@@ -288,6 +287,13 @@ def _matrix_key(mat: IntMatrix) -> tuple:
     return mat.rows, mat.cols, tuple(mat.entries.items())
 
 
+def _abelian_quotient(group, sub) -> bool:
+    """Whether G/sub is abelian (sub normal): G's generators commute in it."""
+    gens, mul = group.generating_set, group.mul
+    return all(mul(mul(a, b), group.inverse[mul(b, a)]) in sub
+               for a in gens for b in gens)
+
+
 def _cyclic_factors(group, sub) -> list[int] | None:
     """Elements t_1, ..., t_r of the group, each the least of its coset,
     with G/sub = <t_1 sub> x ... x <t_r sub> (sub normal) and every factor
@@ -298,10 +304,9 @@ def _cyclic_factors(group, sub) -> list[int] | None:
     Schreier relations v(x) + e_i - v(x g_i) span (v(x) the exponents of
     x's coset along a spanning tree); the t_j are the images of the
     generators of that presentation's normal form."""
-    gens, mul = group.generating_set, group.mul
-    if any(mul(mul(a, b), group.inverse[mul(b, a)]) not in sub
-           for a in gens for b in gens):
+    if not _abelian_quotient(group, sub):
         return None
+    gens, mul = group.generating_set, group.mul
     vec, reached, relations = {0: (0,) * len(gens)}, [0], set()
     for x in reached:
         for i, g in enumerate(gens):
@@ -333,6 +338,111 @@ def _compositions(q: int, r: int) -> list[tuple[int, ...]]:
     return [(a,) + rest for a in range(q + 1) for rest in _compositions(q - a, r - 1)]
 
 
+class _Resolution:
+    """A free resolution of Z over Z[G/H] built from one table, with gens,
+    boundary and along (module docstring).  boundary(q) is d from degree q
+    to q - 1 as {x: {(t, s): c}}, built once: d e_t holds c x e_s, x an
+    automorphism of G/H by its place (-1 for the identity); some c may be 0."""
+
+    def __init__(self, table: tuple):
+        self.table = table
+        self._boundary: dict[int, dict] = {}
+        self._along: dict[tuple, list] = {}
+
+    def boundary(self, q: int) -> dict[int, dict[tuple[int, int], int]]:
+        got = self._boundary.get(q)
+        if got is None:
+            got = self._boundary[q] = self._d(q)
+        return got
+
+
+class _Bar(_Resolution):
+    """The normalized bar resolution of G/H; its table comp has comp[a][b],
+    the place of its automorphisms a then b (-1 where that is the identity)."""
+
+    def gens(self, q: int) -> int:
+        return len(self.table) ** q
+
+    def _d(self, q: int) -> dict:
+        """d[g_1|...|g_q] = g_1[g_2|...] + sum (-1)^i [...|g_i g_{i+1}|...]
+        (none where g_i g_{i+1} = 1) + (-1)^q [g_1|...|g_{q-1}], cell t being
+        sum g_i k^(q - i)."""
+        comp = self.table
+        k = len(comp)
+        below = k ** (q - 1)
+        got = {x: {(x * below + r, r): 1 for r in range(below)} for x in range(k)}
+        ident = got[-1] = {}
+        get = ident.get
+        for t in range(k * below):
+            for i in range(1, q):
+                w = k ** (q - i - 1)        # the weight of g_{i+1}
+                head, pair = divmod(t // w, k * k)
+                c = comp[pair // k][pair % k]
+                if c >= 0:
+                    key = (t, (head * k + c) * w + t % w)
+                    ident[key] = get(key, 0) + (-1 if i % 2 else 1)
+            key = (t, t // k)
+            ident[key] = get(key, 0) + (-1 if q % 2 else 1)
+        return got
+
+    def along(self, src, image: tuple[int, ...], q: int) -> list[dict[int, int]]:
+        """B(pi) o c in degree q: each generator of src to {cell: coefficient}.
+        B(pi) commutes with the contracting homotopy s, so B(pi) c_q(e) is the
+        sum of c [pi x|B(pi) c_{q-1}(e_s)] over the terms c x e_s of d e (none
+        where pi x = 1)."""
+        at = (src, image, q)
+        got = self._along.get(at)
+        if got is None:
+            got = [{0: 1}]
+            if q:
+                below, w = self.along(src, image, q - 1), len(self.table) ** (q - 1)
+                got = [{} for _ in range(src.gens(q))]
+                for x, group in src.boundary(q).items():
+                    if x >= 0 and image[x] >= 0:
+                        base = image[x] * w
+                        for (t, s), c in group.items():
+                            acc = got[t]
+                            for cell, v in below[s].items():
+                                acc[base + cell] = acc.get(base + cell, 0) + c * v
+            self._along[at] = got
+        return got
+
+
+class _Periodic(_Resolution):
+    """The tensor product of the periodic resolutions of the cyclic factors
+    <t_j> of G/H; its table rows has rows[j], the places of 1, t_j, t_j^2,
+    ... among G/H's automorphisms (-1 for the identity)."""
+
+    def gens(self, q: int) -> int:
+        return comb(q + len(self.table) - 1, q)
+
+    def _d(self, q: int) -> dict:
+        """d e_a = sum over a_j > 0 of (-1)^(a_1 + ... + a_{j-1}) theta_j
+        e_(a - delta_j), theta_j being t_j - 1 for odd a_j and the norm of
+        <t_j> for even a_j."""
+        rows = self.table
+        got = {x: {} for row in rows for x in row}
+        place = {a: s for s, a in enumerate(_compositions(q - 1, len(rows)))}
+        for t, a in enumerate(_compositions(q, len(rows))):
+            sign = 1
+            for j, (e, row) in enumerate(zip(a, rows)):
+                if e:
+                    s = place[a[:j] + (e - 1,) + a[j + 1:]]
+                    if e % 2:
+                        if row[1:]:         # t_j - 1 is 0 at t_j = 1
+                            got[row[1]][(t, s)], got[-1][(t, s)] = sign, -sign
+                        sign = -sign
+                    else:
+                        for x in row:
+                            got[x][(t, s)] = sign
+        return got
+
+    def along(self, src, image: tuple[int, ...], q: int) -> list[dict[int, int]]:
+        """e_q |-> |H_1/H_0|^(q // 2) e_q from src, the periodic resolution of
+        G/H_0 (G cyclic, so one factor at each object)."""
+        return [{0: (len(src.table[0]) // len(self.table[0])) ** (q // 2)}]
+
+
 class NormalFamilyComplex(_CochainComplex):
     """Cochain complex of an orbit module whose family has normal members
     alone, on resolutions of the G/H laid over the strict chains H_0 < ...
@@ -356,11 +466,26 @@ class NormalFamilyComplex(_CochainComplex):
                 f"a family member is not normal in {group.name}")
         self.module, self.size_cap = module, size_cap
         members = [set(h.members) for h in subs]
-        # the members strictly above H, each with the projection's module map
-        self._above = [
-            {j: module.map_matrix(OrbitMorphism(h, k, 0))
-             for j, k in enumerate(subs) if members[i] < members[j]}
-            for i, h in enumerate(subs)]
+        # the automorphisms of each G/H but the identity
+        self._autos = [[m for m in out if cat.m_tgt[m] == i
+                        and not cat.morphs[m].is_identity()]
+                       for i, out in enumerate(cat.out)]
+        # each G/H's automorphisms by their places, from their elements
+        reps = [{cat.morphs[m].rep: a for a, m in enumerate(autos)} for autos in self._autos]
+        ids: dict[tuple, int] = {}      # a small key for each distinct read
+        # the members strictly above H, each with the projection's module
+        # map, the place of the image of each of G/H's automorphisms among
+        # theirs (-1 for the identity), and the id of those two
+        self._above = []
+        for h, mine, autos in zip(subs, members, self._autos):
+            up = {}
+            for j, k in enumerate(subs):
+                if mine < members[j]:
+                    proj = module.map_matrix(OrbitMorphism(h, k, 0))
+                    image = tuple(reps[j].get(k.coset_table[cat.morphs[m].rep], -1)
+                                  for m in autos)
+                    up[j] = (proj, image, ids.setdefault((image, _matrix_key(proj)), len(ids)))
+            self._above.append(up)
         # the number of strict chains of each length from each start, up to
         # the first length with none; the chains of each length, as listed
         self._counts = [[1] * len(subs)]
@@ -369,62 +494,36 @@ class NormalFamilyComplex(_CochainComplex):
                                  for up in self._above])
         self._levels = [[(i,) for i in range(len(subs))]]
         self._layouts: dict[int, dict[tuple[int, ...], int]] = {}
-        # the automorphisms of each G/H but the identity
-        self._autos = [[m for m in out if cat.m_tgt[m] == i
-                        and not cat.morphs[m].is_identity()]
-                       for i, out in enumerate(cat.out)]
-        places = [{m: a for a, m in enumerate(autos)} for autos in self._autos]
-        # the powers 1, t, ... of each cyclic factor <t> of a periodic
-        # resolution by their places (-1 for the identity): for G = <g>, the
-        # one factor <gH> at every object (just [-1] at G/G), else those of a
-        # minimal member with an abelian quotient; None at the objects that
-        # keep the bar resolution
+        # each object's resolution, one per table: periodic on the powers of
+        # each cyclic factor <t> by place (for G = <g>, <gH> at every object;
+        # else at a minimal member with an abelian quotient), bar cells on the
+        # automorphisms' product elsewhere
         gen = _cyclic_generator(group)
-        self._cyclic = []
-        for h, mine, place in zip(subs, members, places):
-            rows = []
+        shared, self._res = {}, []
+        for h, mine, rep, autos in zip(subs, members, reps, self._autos):
             if gen is not None:
                 factors = [canonical_rep(group, gen, h)]
             elif not any(m < mine for m in members):
                 factors = _cyclic_factors(group, h) or ()
             else:
                 factors = ()
+            rows = []
             for t in factors:
                 row, x = [-1], t
                 while x:
-                    row.append(place[cat.morphism_id(OrbitMorphism(h, h, x))])
+                    row.append(rep[x])
                     x = canonical_rep(group, group.mul(x, t), h)
-                rows.append(row)
-            self._cyclic.append(rows or None)
-        # at the objects with bar cells, _comp[h][a][b] the place of autos a
-        # then b, -1 where that is the identity
-        self._comp = [None if rows else
-                      [[place.get(cat.compose_ids(x, y), -1) for y in autos]
-                       for x in autos]
-                      for rows, place, autos in zip(self._cyclic, places, self._autos)]
-        # the ids of what each object's tables read (module docstring): its
-        # resolution, and that with its automorphisms' module maps
-        self._ids: dict[tuple, int] = {}
-        self._resolution = [self._id((rows is None, tuple(map(tuple, rows or comp))))
-                            for rows, comp in zip(self._cyclic, self._comp)]
-        self._twist = [self._id((res, v.ngens, tuple(_matrix_key(module.maps[m])
-                                                     for m in autos)))
-                       for res, v, autos in zip(self._resolution, module.values, self._autos)]
-        self._pairs: dict[tuple[int, int], tuple] = {}
-        self._terms: dict[tuple, dict] = {}
+                rows.append(tuple(row))
+            kind, table = (_Periodic, tuple(rows)) if rows else (_Bar, tuple(
+                tuple(rep.get(cat.morphs[cat.compose_ids(x, y)].rep, -1) for y in autos)
+                for x in autos))
+            self._res.append(shared.setdefault((kind, table), kind(table)))
+        self._twist = [ids.setdefault((res, v.ngens, tuple(_matrix_key(module.maps[m])
+                                                           for m in autos)), len(ids))
+                       for res, v, autos in zip(self._res, module.values, self._autos)]
         self._verticals: dict[tuple, list] = {}
-        self._compared_at: dict[tuple, list] = {}
         self._projections: dict[tuple, list] = {}
         super().__init__()
-
-    def _id(self, read: tuple) -> int:
-        """A small key for what a table reads, the same for equal reads."""
-        return self._ids.setdefault(read, len(self._ids))
-
-    def _gens(self, i: int, q: int) -> int:
-        """The generators of object i's resolution in degree q."""
-        rows = self._cyclic[i]
-        return comb(q + len(rows) - 1, q) if rows else len(self._autos[i]) ** q
 
     def layout(self, degree: int) -> dict[tuple[int, ...], int]:
         """The strict chains of the blocks of one degree, by length, then in
@@ -433,8 +532,8 @@ class NormalFamilyComplex(_CochainComplex):
         call."""
         got = self._layouts.get(degree)
         if got is None:
-            gens = [[self._gens(i, degree - p) for i in range(len(counts))]
-                    for p, counts in enumerate(self._counts[:degree + 1])]
+            gens = [[res.gens(degree - p) for res in self._res]
+                    for p in range(min(degree + 1, len(self._counts)))]
             total = sum(c * k for counts, row in zip(self._counts, gens)
                         for c, k in zip(counts, row))
             if total > self.size_cap:
@@ -460,30 +559,22 @@ class NormalFamilyComplex(_CochainComplex):
     def _entries(self, degree: int, src_off, dst_off) -> dict:
         """d^degree, one target chain at a time: (-1)^p d_v from the same
         chain, face 0 of d_h from the chain without H_0, then faces 1..p,
-        (-1)^i times the identity from the chain without H_i.  d_v, and face 0
-        where G/H_1 has bar cells, shift one table each, built once per
-        distinct key; where G/H_1 has a periodic resolution, face 0 is
-        |H_1/H_0|^(q // 2) times the projection's module map."""
+        (-1)^i times the identity from the chain without H_i.  d_v and face 0
+        each shift one table, built once per distinct key."""
         src = self._offsets(degree, src_off)
-        sizes = self.layout(degree + 1)
-        subs, values = self.module.cat.subgroups, self.module.values
+        sizes, values = self.layout(degree + 1), self.module.values
         entries: dict[tuple[int, int], int] = {}
         for chain, roff in self._offsets(degree + 1, dst_off).items():
             p, h = len(chain) - 1, chain[0]
             q = degree + 1 - p
             if q:
                 coff, sign = src[chain], -1 if p % 2 else 1
-                entries.update({(roff + i, coff + j): sign * v
-                                for i, j, v in self._vertical(h, q)})
+                for i, j, v in self._vertical(h, q):
+                    entries[(roff + i, coff + j)] = sign * v
             if p:
-                top, coff = chain[1], src[chain[1:]]
-                if self._cyclic[top] is None:
-                    face = self._projection(h, top, q)
-                else:
-                    c = (subs[top].size // subs[h].size) ** (q // 2)
-                    face = ((i, j, c * v)
-                            for (i, j), v in self._above[h][top].entries.items())
-                entries.update({(roff + i, coff + j): v for i, j, v in face})
+                coff = src[chain[1:]]
+                for i, j, v in self._projection(h, chain[1], q):
+                    entries[(roff + i, coff + j)] = v
                 rows = range(roff, roff + sizes[chain] * values[h].ngens)
                 for i in range(1, p + 1):
                     coff = src[chain[:i] + chain[i + 1:]]
@@ -491,64 +582,15 @@ class NormalFamilyComplex(_CochainComplex):
                                        repeat(-1 if i % 2 else 1)))
         return entries
 
-    def _boundary(self, h: int, q: int) -> dict[int, dict[tuple[int, int], int]]:
-        """The resolution's d from degree q to q - 1 at object h, as {x: {(t,
-        s): c}}: d e_t holds c x e_s, x an automorphism of G/H by its place
-        (-1 for the identity); some c may be 0.
-
-        Bar: d[g_1|...|g_q] = g_1[g_2|...] + sum (-1)^i [...|g_i g_{i+1}|...]
-        (none where g_i g_{i+1} = 1) + (-1)^q [g_1|...|g_{q-1}], cell t being
-        sum g_i k^(q - i).  Product of periodic resolutions: d e_a = sum over
-        a_j > 0 of (-1)^(a_1 + ... + a_{j-1}) theta_j e_(a - delta_j), theta_j
-        being t_j - 1 for odd a_j and the norm of <t_j> for even a_j."""
-        at = (self._resolution[h], q)
-        got = self._terms.get(at)
-        if got is None:
-            rows = self._cyclic[h]
-            if rows is None:
-                k, comp = len(self._autos[h]), self._comp[h]
-                below = k ** (q - 1)
-                got = {x: {(x * below + r, r): 1 for r in range(below)}
-                       for x in range(k)}
-                ident = got[-1] = {}
-                get = ident.get
-                for t in range(k * below):
-                    for i in range(1, q):
-                        w = k ** (q - i - 1)        # the weight of g_{i+1}
-                        head, pair = divmod(t // w, k * k)
-                        c = comp[pair // k][pair % k]
-                        if c >= 0:
-                            key = (t, (head * k + c) * w + t % w)
-                            ident[key] = get(key, 0) + (-1 if i % 2 else 1)
-                    key = (t, t // k)
-                    ident[key] = get(key, 0) + (-1 if q % 2 else 1)
-            else:
-                got = {x: {} for row in rows for x in row}
-                place = {a: s for s, a in enumerate(_compositions(q - 1, len(rows)))}
-                for t, a in enumerate(_compositions(q, len(rows))):
-                    sign = 1
-                    for j, (e, row) in enumerate(zip(a, rows)):
-                        if e:
-                            s = place[a[:j] + (e - 1,) + a[j + 1:]]
-                            if e % 2:
-                                if row[1:]:         # t_j - 1 is 0 at t_j = 1
-                                    got[row[1]][(t, s)], got[-1][(t, s)] = sign, -sign
-                                sign = -sign
-                            else:
-                                for x in row:
-                                    got[x][(t, s)] = sign
-            self._terms[at] = got
-        return got
-
     def _vertical(self, h: int, q: int) -> list[tuple[int, int, int]]:
         """d_v into the degree-q generators of object h from those of degree
         q - 1, as (row, column, value) in generators of M(G/H): each c x e_s
-        in _boundary as c times x's module map."""
+        of the resolution's boundary as c times x's module map."""
         at = (self._twist[h], q)
         got = self._verticals.get(at)
         if got is None:
             n, maps, autos = self.module.values[h].ngens, self.module.maps, self._autos[h]
-            terms = self._boundary(h, q)
+            terms = self._res[h].boundary(q)
             acc = {(t * n + e, s * n + e): c
                    for (t, s), c in terms[-1].items() for e in range(n)}
             get = acc.get
@@ -563,65 +605,21 @@ class NormalFamilyComplex(_CochainComplex):
             got = self._verticals[at] = [(i, j, v) for (i, j), v in acc.items() if v]
         return got
 
-    def _pair(self, h: int, top: int) -> tuple:
-        """For pi: G/H -> G/H_top, once per pair: G/H_top's automorphisms
-        but the identity, counted; the place among them of the image of each
-        of G/H's (-1 for the identity); the id of that and h's resolution
-        (B(pi) o c reads it); and the id of that and pi's module map (face 0
-        reads it; None for top = h)."""
-        got = self._pairs.get((h, top))
-        if got is None:
-            cat = self.module.cat
-            least = cat.subgroups[top].coset_table
-            pos = {cat.morphs[m].rep: a for a, m in enumerate(self._autos[top])}
-            image = tuple(pos.get(least[cat.morphs[m].rep], -1) for m in self._autos[h])
-            compared = self._id((self._resolution[h], len(pos), image))
-            proj = self._above[h].get(top)
-            got = self._pairs[(h, top)] = (len(pos), image, compared, proj and self._id(
-                (compared, _matrix_key(proj))))
-        return got
-
-    def _compared(self, h: int, top: int, q: int) -> list[dict[int, int]]:
-        """B(pi) o c in degree q, pi: G/H -> G/H_top (the identity for top =
-        h): each generator of object h's resolution to {cell of G/H_top's
-        normalized bar resolution: coefficient}.
-
-        c is the comparison map to the bar resolution of G/H, c_0(e) = []
-        and c_q(e) = s(c_{q-1}(d e)), s(x[g_1|...]) = [x|g_1|...] being its
-        contracting homotopy (0 for x = 1), and the identity on the bar
-        resolution.  B(pi) commutes with s, so B(pi) c_q(e) is the sum of c
-        [pi x|B(pi) c_{q-1}(e_s)] over the terms c x e_s of d e (none where
-        pi x = 1)."""
-        count, image, compared, _ = self._pair(h, top)
-        got = self._compared_at.get((compared, q))
-        if got is None:
-            got = [{0: 1}]
-            if q:
-                below, w = self._compared(h, top, q - 1), count ** (q - 1)
-                got = [{} for _ in range(self._gens(h, q))]
-                for x, group in self._boundary(h, q).items():
-                    if x >= 0 and image[x] >= 0:
-                        base = image[x] * w
-                        for (t, s), c in group.items():
-                            acc = got[t]
-                            for cell, v in below[s].items():
-                                acc[base + cell] = acc.get(base + cell, 0) + c * v
-            self._compared_at[(compared, q)] = got
-        return got
-
     def _projection(self, h: int, top: int, q: int) -> list[tuple[int, int, int]]:
-        """Face 0 of d_h into the degree-q generators of object h from the
-        q-cells of object top, as (row, column, value) in generators: B(pi) o
-        c of each generator, times the projection's module map."""
-        at = (self._pair(h, top)[3], q)
+        """Face 0 of d_h into the degree-q generators of object h from those
+        of object top, as (row, column, value) in generators: along of each
+        generator, times the projection's module map."""
+        proj, image, read = self._above[h][top]
+        src, res = self._res[h], self._res[top]
+        at = (src, res, read, q)
         got = self._projections.get(at)
         if got is None:
-            n, n_top = self.module.values[h].ngens, self.module.values[top].ngens
-            proj = list(self._above[h][top].entries.items())
+            n, n_top = proj.rows, proj.cols
+            pairs = list(proj.entries.items())
             got = self._projections[at] = [
                 (t * n + i, c * n_top + j, v * u)
-                for t, cells in enumerate(self._compared(h, top, q))
-                for c, v in cells.items() if v for (i, j), u in proj]
+                for t, cells in enumerate(res.along(src, image, q))
+                for c, v in cells.items() if v for (i, j), u in pairs]
         return got
 
 
@@ -633,7 +631,7 @@ def cochain_complex(module: OrbitModule,
     members = [set(h.members) for h in cat.subgroups]
     if all(h.is_normal() for h in cat.subgroups) and (
             any(a < b for a in members for b in members)
-            or all(_cyclic_factors(cat.group, h) is not None for h in cat.subgroups)):
+            or all(_abelian_quotient(cat.group, h) for h in cat.subgroups)):
         return NormalFamilyComplex(module, size_cap)
     return BredonComplex(module.family, module, size_cap)
 

@@ -14,11 +14,14 @@ the periodic resolutions of a cyclic decomposition of Q.  Its own tests
 work in the group ring: d.d = 0 and d_B c = c d_P for the comparison map
 c to the bar resolution, to degree 4, and the decomposition is checked to
 be exact on every abelian quotient of every catalog group and of a few
-larger abelian groups.
+larger abelian groups.  Every resolution's along is a chain map over each
+projection of a full family, d o along = along o d in the group ring, on
+periodic resolutions (C4, C6) and into bar cells (c2xc2xc2).
 
-The complex keys its tables by what each reads, so objects that read the
-same share one; on every case here its differentials equal those of
-PerObjectComplex, whose tables are each object's own, entry for entry.
+Objects whose resolutions are built from the same table share one, and the
+complex keys its own tables by what each reads; on every case here its
+differentials equal those of PerObjectComplex, whose resolutions and
+tables are each object's own, entry for entry.
 """
 
 from itertools import combinations
@@ -30,7 +33,9 @@ from orbitcoh.bredon import (
     BarComplex,
     BredonComplex,
     NormalFamilyComplex,
+    _Bar,
     _cyclic_factors,
+    _Periodic,
 )
 from orbitcoh.coeff import GModule, fixed_point_functor, sign_modules
 from orbitcoh.errors import BadParametersError, SizeLimitError
@@ -135,6 +140,8 @@ def test_each_table_is_built_once_per_key_not_per_object(monkeypatch):
     keys = {(route._twist[h], q) for h, q in read}
     assert len(route._verticals) == len(keys)
     assert len(keys) == len({(len(route._autos[h]), q) for h, q in read}) < len(read)
+    # and the objects with one automorphism table share one resolution
+    assert len(set(map(id, route._res))) == len(set(map(len, route._autos))) == 4
 
 
 def test_a_member_that_is_not_normal_is_refused():
@@ -162,11 +169,16 @@ def test_the_size_cap_counts_the_blocks_of_one_degree():
 
 def _ring(route):
     """The minimal object 1's quotient G/1 = G: each automorphism place to
-    its group element (-1, the identity, to 0), and the group's product."""
+    its group element (-1, the identity, to 0), the group's product, and
+    its bar resolution."""
     cat = route.module.cat
-    rep = {x: cat.morphs[m].rep for x, m in enumerate(route._autos[0])}
+    autos = route._autos[0]
+    rep = {x: cat.morphs[m].rep for x, m in enumerate(autos)}
     rep[-1] = 0
-    return rep, cat.group.mul
+    place = {m: x for x, m in enumerate(autos)}
+    bar = _Bar(tuple(tuple(place.get(cat.compose_ids(x, y), -1) for y in autos)
+                     for x in autos))
+    return rep, cat.group.mul, bar
 
 
 @pytest.mark.parametrize("name", ["c2xc2", "c4xc2", "c2xc2xc2", "c3xc3", "c6xc2"])
@@ -174,14 +186,15 @@ def test_the_product_resolution_and_its_comparison_map(name):
     group = builtin_group(name)
     module = GModule.trivial(group, FgAbGroup.free(1))
     route = NormalFamilyComplex(fixed_point_functor(module, trivial_family(group)))
-    assert route._cyclic[0] is not None
-    rep, mul = _ring(route)
+    res = route._res[0]
+    assert isinstance(res, _Periodic)
+    rep, mul, bar = _ring(route)
     k = len(route._autos[0])
 
     def cells(q, t):
         """c_q(e_t) as {(x, (g_1, ..., g_q)): coefficient}, x = 1."""
         out = {}
-        for cell, v in route._compared(0, 0, q)[t].items():
+        for cell, v in bar.along(res, tuple(range(k)), q)[t].items():
             digits = []
             for _ in range(q):
                 cell, g = divmod(cell, k)
@@ -191,14 +204,14 @@ def test_the_product_resolution_and_its_comparison_map(name):
 
     def d(q, t):
         """d e_t as [(x, s, c)]: c x e_s."""
-        return [(rep[x], s, c) for x, group in route._boundary(0, q).items()
+        return [(rep[x], s, c) for x, group in res.boundary(q).items()
                 for (t1, s), c in group.items() if t1 == t]
 
     def add(acc, key, v):
         acc[key] = acc.get(key, 0) + v
 
     for q in range(1, 5):
-        for t in range(route._gens(0, q)):
+        for t in range(res.gens(q)):
             # d d e_t = 0 in the group ring
             if q > 1:
                 dd = {}
@@ -222,6 +235,38 @@ def test_the_product_resolution_and_its_comparison_map(name):
                         add(rhs, (x, face), v * (-1) ** i)
             assert {a: v for a, v in lhs.items() if v} \
                 == {a: v for a, v in rhs.items() if v}, (name, q, t)
+
+
+@pytest.mark.parametrize("name, kinds", [
+    ("c4", {(_Periodic, _Periodic)}), ("c6", {(_Periodic, _Periodic)}),
+    ("c2xc2xc2", {(_Periodic, _Bar), (_Bar, _Bar)})])
+def test_along_is_a_chain_map_over_each_projection(name, kinds):
+    # along's coefficients are integers, so d(along e_t) and along(d e_t)
+    # are compared term by term: x e_s on G/H_1's side, pi(x) for G/H_0's x
+    group = builtin_group(name)
+    module = GModule.trivial(group, FgAbGroup.free(1))
+    route = NormalFamilyComplex(fixed_point_functor(module, full_family(group)))
+    seen = set()
+    for h, up in enumerate(route._above):
+        for top, (_, image, _) in up.items():
+            src, res = route._res[h], route._res[top]
+            seen.add((type(src), type(res)))
+            for q in range(1, 6):
+                now, below = res.along(src, image, q), res.along(src, image, q - 1)
+                lhs, rhs = {}, {}
+                for x, group in res.boundary(q).items():
+                    for (c, s), v in group.items():
+                        for t, cells in enumerate(now):
+                            key = (t, x, s)
+                            lhs[key] = lhs.get(key, 0) + v * cells.get(c, 0)
+                for x, group in src.boundary(q).items():
+                    for (t, s), v in group.items():
+                        for c, u in below[s].items():
+                            key = (t, image[x] if x >= 0 else -1, c)
+                            rhs[key] = rhs.get(key, 0) + v * u
+                assert {a: v for a, v in lhs.items() if v} \
+                    == {a: v for a, v in rhs.items() if v}, (name, h, top, q)
+    assert seen == kinds
 
 
 def _abelian_quotients(group):
